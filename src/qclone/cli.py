@@ -67,7 +67,7 @@ def _parse_grid(spec: str, parser: argparse.ArgumentParser, what: str) -> np.nda
     return np.linspace(start, stop, steps)
 
 
-def cmd_clone(args, parser: argparse.ArgumentParser) -> int:
+def _clone_report(args, parser: argparse.ArgumentParser):
     kind = args.kind
     if kind in QUBIT_KINDS or kind in REGISTER_KINDS:
         if kind == "gm" and args.param is None:
@@ -92,20 +92,28 @@ def cmd_clone(args, parser: argparse.ArgumentParser) -> int:
         else:
             q = BlochQubit(math.pi / 2.0, 0.0)
             seed = None
-        rep = report_uqcm(q, seed) if kind == "uqcm" else report_gm(q, args.param, seed)
+        return report_uqcm(q, seed) if kind == "uqcm" else report_gm(q, args.param, seed)
     elif kind == "mdim":
         if args.theta is not None or args.phi is not None or args.alpha2 is not None:
             parser.error("clone mdim takes its input from --seed only")
         seed = args.seed if args.seed is not None else 0
-        rep = report_mdim(haar_random_ket(args.param, seed), seed)
+        return report_mdim(haar_random_ket(args.param, seed), seed)
     else:  # register cloners
         if args.theta is not None or args.phi is not None or args.seed is not None:
             parser.error(f"clone {kind} takes its input from --alpha2 only")
         alpha2 = args.alpha2 if args.alpha2 is not None else 0.5
         if not 0.0 <= alpha2 <= 1.0:
             parser.error(f"--alpha2 must lie in [0, 1], got {alpha2}")
-        rep = report_register(kind.removeprefix("register-"), math.sqrt(alpha2))
+        return report_register(kind.removeprefix("register-"), math.sqrt(alpha2))
 
+
+def cmd_clone(args, parser: argparse.ArgumentParser) -> int:
+    try:
+        rep = _clone_report(args, parser)
+    except ValueError as exc:
+        # the library owns the valid ranges (clone count, dimension, angles,
+        # seed) and raises ValueError for a value outside them
+        parser.error(f"clone {args.kind}: {exc}")
     if args.format == "json":
         _emit(rep.to_json(), args.output)
     elif args.format == "csv":

@@ -5,8 +5,7 @@ partial traces, marginals and partial transposes need no bookkeeping at the
 call site.  One index convention holds everywhere: the first subsystem is
 the most significant index (row-major Kronecker ordering).
 
-All spectral quantities go through the cyclic Jacobi kernel in
-``qclone._kernels``; nothing in the package calls an external eigensolver.
+All spectral quantities come from LAPACK through ``numpy.linalg.eigh``.
 """
 from __future__ import annotations
 
@@ -16,18 +15,35 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import eigh as _kernel_eigh
-
 # Tolerance hierarchy used across the package: constructive identities,
 # eigenvalue and functional identities, quadrature checks.
 TOL_CONSTRUCT = 1e-12
 TOL_SPECTRAL = 1e-10
 TOL_QUADRATURE = 1e-6
 
+#: Most amplitudes ``reduced_density`` multiplies in one product; it bounds
+#: the temporaries that wide joint states would otherwise allocate.
+_MARGINAL_BLOCK = 2**14
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+# Every validation test against a tolerance is written ``not (err <= tol)``
+# so that a NaN fails it.  A NaN or inf entry then always fails the first such
+# test (a state's norm, a matrix's Hermiticity); finiteness is checked only on
+# that failure path, to name the cause without slowing valid input.
+def _check_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite (no NaN or inf)")
+
+
+def _check_hermitian(mat: np.ndarray) -> None:
+    if not np.abs(mat - mat.conj().T).max() <= TOL_CONSTRUCT:
+        _check_finite(mat, "matrix entries")
+        raise ValueError("matrix is not Hermitian within 1e-12")
 
 
 @dataclass(frozen=True)
@@ -71,7 +87,8 @@ class StateVector:
                 f"{self.layout.total}"
             )
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > TOL_CONSTRUCT:
+        if not abs(norm2 - 1.0) <= TOL_CONSTRUCT:
+            _check_finite(amps, "amplitudes")
             raise ValueError(f"state is not normalized: |amps|^2 = {norm2!r}")
         object.__setattr__(self, "amps", _freeze(amps))
 
@@ -84,9 +101,9 @@ class StateVector:
 class DensityOperator:
     """Unit-trace positive-semidefinite operator over an explicit layout.
 
-    Construction enforces Hermiticity and trace within 1e-12 and eigenvalues
-    >= -1e-10.  Positivity is certified by a Gershgorin bound when that is
-    already conclusive, otherwise by a full Jacobi eigensolve.
+    Construction enforces finite entries, Hermiticity and trace within 1e-12
+    and eigenvalues >= -1e-10.  Positivity is certified by a Gershgorin bound
+    when that is already conclusive, otherwise by a full eigensolve.
     """
 
     layout: SubsystemLayout
@@ -97,15 +114,14 @@ class DensityOperator:
         d = self.layout.total
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match layout dimension {d}")
-        if np.abs(mat - mat.conj().T).max() > TOL_CONSTRUCT:
-            raise ValueError("matrix is not Hermitian within 1e-12")
+        _check_hermitian(mat)
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TOL_CONSTRUCT:
+        if not abs(tr - 1.0) <= TOL_CONSTRUCT:
             raise ValueError(f"trace must be 1 within 1e-12, got {tr!r}")
         gersh = float(np.min(mat.diagonal().real - (np.abs(mat).sum(axis=1) - np.abs(mat.diagonal()))))
-        if gersh < -TOL_SPECTRAL:
-            w, _ = _kernel_eigh(mat)
-            if w[0] < -TOL_SPECTRAL:
+        if not gersh >= -TOL_SPECTRAL:
+            w, _ = np.linalg.eigh(mat)
+            if not w[0] >= -TOL_SPECTRAL:
                 raise ValueError(f"operator has a negative eigenvalue: {w[0]!r}")
         object.__setattr__(self, "mat", _freeze(mat))
 
@@ -125,8 +141,7 @@ class HermitianMatrix:
         mat = np.array(self.mat, dtype=np.complex128, copy=True)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        if np.abs(mat - mat.conj().T).max() > TOL_CONSTRUCT:
-            raise ValueError("matrix is not Hermitian within 1e-12")
+        _check_hermitian(mat)
         object.__setattr__(self, "mat", _freeze(mat))
 
 
@@ -194,9 +209,15 @@ def reduced_density(psi: StateVector, keep: Sequence[int]) -> DensityOperator:
     a = psi.amps.reshape(dims).transpose(keep + rest)
     dkeep = math.prod(dims[j] for j in keep)
     a = a.reshape(dkeep, -1)
-    return DensityOperator(
-        SubsystemLayout(tuple(dims[j] for j in keep)), a @ a.conj().T
-    )
+    # summing over column blocks keeps each conjugate copy small; a state
+    # that fits in one block is still reduced by a single product
+    step = max(1, _MARGINAL_BLOCK // dkeep)
+    b = a[:, :step]
+    red = b @ b.conj().T
+    for j in range(step, a.shape[1], step):
+        b = a[:, j:j + step]
+        red += b @ b.conj().T
+    return DensityOperator(SubsystemLayout(tuple(dims[j] for j in keep)), red)
 
 
 def _partial_transpose_mat(mat: np.ndarray, dims: Sequence[int], sub: int) -> np.ndarray:
@@ -223,15 +244,13 @@ def _as_matrix(h) -> np.ndarray:
 def hermitian_eigenvalues(h) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix.
 
-    Accepts a HermitianMatrix, a DensityOperator or a plain array; anything
-    non-Hermitian beyond 1e-12 is rejected.
+    Accepts a HermitianMatrix, a DensityOperator or a plain array; a plain
+    array is validated as a HermitianMatrix (finite, square, Hermitian within
+    1e-12) first.
     """
-    mat = _as_matrix(h)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if np.abs(mat - mat.conj().T).max() > TOL_CONSTRUCT:
-        raise ValueError("matrix is not Hermitian within 1e-12")
-    w, _ = _kernel_eigh(mat)
+    if not isinstance(h, (HermitianMatrix, DensityOperator)):
+        h = HermitianMatrix(h)
+    w, _ = np.linalg.eigh(h.mat)
     return w
 
 
@@ -262,7 +281,7 @@ def _clipped_sqrt(w: np.ndarray) -> np.ndarray:
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Matrix square root of a positive-semidefinite Hermitian matrix."""
-    w, v = _kernel_eigh(mat)
+    w, v = np.linalg.eigh(mat)
     return (v * _clipped_sqrt(w)) @ v.conj().T
 
 
@@ -272,7 +291,7 @@ def sqrt_fidelity(rho1: DensityOperator, rho2: DensityOperator) -> float:
     if rho1.mat.shape != rho2.mat.shape:
         raise ValueError("density operators have mismatched dimensions")
     s = _psd_sqrt(rho1.mat)
-    w, _ = _kernel_eigh(s @ rho2.mat @ s)
+    w, _ = np.linalg.eigh(s @ rho2.mat @ s)
     return float(_clipped_sqrt(w).sum())
 
 

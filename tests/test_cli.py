@@ -70,6 +70,11 @@ def test_clone_csv_and_table(capsys):
         ("sweep", "register-negativity", "--alpha2", "0:1", "--method", "local"),
         ("dump-circuit", "copy", "--n", "9"),             # over the limit
         ("dump-circuit", "prep1", "--n", "2"),            # stray --n
+        ("clone", "gm", "9"),                             # clone count over the limit
+        ("clone", "uqcm", "--theta", "4"),                # theta outside [0, pi]
+        ("clone", "uqcm", "--seed", "-1"),                # negative seed
+        ("clone", "mdim", "65"),                          # dimension over the limit
+        ("clone", "mdim", "1"),                           # dimension below the floor
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -8,6 +8,7 @@ from qclone.linalg import (
     HermitianMatrix,
     StateVector,
     SubsystemLayout,
+    _psd_sqrt,
     bures_distance,
     hermitian_eigenvalues,
     outer,
@@ -19,6 +20,7 @@ from qclone.linalg import (
     tensor,
     von_neumann_entropy,
 )
+from qclone.states import SymmetricIndex, symmetric_basis_ket
 
 BELL = StateVector(SubsystemLayout((2, 2)), np.array([1, 0, 0, 1]) / math.sqrt(2))
 
@@ -52,6 +54,11 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(SubsystemLayout((2, 2)), [1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            StateVector(SubsystemLayout((2,)), [bad, 0.0])
+
     def test_accepts_and_freezes(self):
         psi = StateVector(SubsystemLayout((2,)), [1.0, 0.0])
         assert psi.dim == 2
@@ -72,6 +79,16 @@ class TestDensityOperator:
     def test_rejects_negative_eigenvalue(self):
         mat = np.array([[0.5, 0.6], [0.6, 0.5]])  # eigenvalues -0.1 and 1.1
         with pytest.raises(ValueError):
+            DensityOperator(SubsystemLayout((2,)), mat)
+
+    def test_rejects_all_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            DensityOperator(SubsystemLayout((2,)), np.full((2, 2), math.nan))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    def test_rejects_inf_entry(self):
+        mat = np.array([[math.inf, 0.0], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
             DensityOperator(SubsystemLayout((2,)), mat)
 
     def test_accepts_psd_outside_gershgorin(self):
@@ -197,3 +214,64 @@ def test_ghz_reduction_via_state_vector():
     rho = reduced_density(psi, [0, 13])
     np.testing.assert_allclose(np.diag(rho.mat).real, [0.5, 0, 0, 0.5], rtol=0, atol=1e-14)
     np.testing.assert_allclose(rho.mat[0, 3], 0.0, rtol=0, atol=1e-14)
+
+
+def random_hermitian(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return a + a.conj().T
+
+
+class TestEigensolver:
+    """The contract every spectral quantity relies on."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32])
+    def test_known_spectrum(self, n):
+        """A spectrum planted by a random unitary (QR, not an eigensolver) comes back."""
+        rng = np.random.default_rng(10 * n)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        w = np.sort(rng.standard_normal(n))
+        mat = (u * w) @ u.conj().T
+        mat = (mat + mat.conj().T) / 2
+        np.testing.assert_allclose(hermitian_eigenvalues(mat), w, rtol=0, atol=1e-12 * max(1.0, abs(w).max()))
+
+    def test_degenerate_identity(self):
+        np.testing.assert_allclose(hermitian_eigenvalues(np.eye(4)), np.ones(4), rtol=0, atol=1e-15)
+
+    def test_diagonal_with_negative_entry(self):
+        w = hermitian_eigenvalues(np.diag([3.0, -1.0, 2.0]))
+        np.testing.assert_allclose(w, [-1.0, 2.0, 3.0], rtol=0, atol=1e-15)
+
+    def test_dicke_projector_is_rank_one(self):
+        rho = outer(symmetric_basis_ket(SymmetricIndex(3, 1)))
+        w = hermitian_eigenvalues(rho)
+        np.testing.assert_allclose(w, [0.0] * 7 + [1.0], rtol=0, atol=1e-14)
+
+    def test_ascending(self):
+        mat = random_hermitian(9, seed=5)
+        w = hermitian_eigenvalues(mat)
+        assert list(w) == sorted(w)
+        np.testing.assert_allclose(w.sum(), np.trace(mat).real, rtol=0, atol=1e-12)
+
+    def test_psd_sqrt_reconstructs(self):
+        """sqrt(m) @ sqrt(m) == m needs both V diag(w) V^+ == m and V^+ V == 1."""
+        g = random_hermitian(12, seed=3)
+        m = g @ g.conj().T
+        root = _psd_sqrt(m)
+        np.testing.assert_allclose(root, root.conj().T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(root @ root, m, rtol=0, atol=1e-11 * np.abs(m).max())
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            hermitian_eigenvalues(np.zeros((2, 3)))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            hermitian_eigenvalues(np.full((2, 2), math.nan))
+        with pytest.raises(ValueError, match="finite"):
+            HermitianMatrix(np.full((2, 2), math.nan))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    def test_rejects_inf(self):
+        with pytest.raises(ValueError, match="finite"):
+            von_neumann_entropy(np.array([[math.inf, 0.0], [0.0, 0.0]]))
