@@ -9,34 +9,25 @@ simulation is being tested.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .cloners import (
-    CloneOutput,
-    gisin_massar_map,
-    local_register_clone,
-    mdim_clone,
-    mdim_coefficients,
-    nonlocal_register_clone,
-    uqcm_map,
-)
+from .cloners import CloneOutput, gisin_massar_map, mdim_coefficients, register_clone
 from .linalg import (
     DensityOperator,
     StateVector,
     SubsystemLayout,
     TOL_SPECTRAL,
-    bures_distance,
     hermitian_eigenvalues,
     outer,
     partial_transpose,
+    pure_fidelity,
     purity,
     reduced_density,
-    von_neumann_entropy,
 )
-from .states import BlochQubit, bloch_ket, scaled_state
+from .states import BlochQubit, bloch_ket
 
 #: residual threshold for declaring that an output fits the scaled form
 SCALED_FORM_TOL = 1e-9
@@ -101,9 +92,7 @@ def mean_fidelity(
         theta = math.acos(float(x))
         for j in range(n_phi):
             q = BlochQubit(theta, 2.0 * math.pi * j / n_phi)
-            rho = clone_marginal_fn(q)
-            amps = bloch_ket(q).amps
-            total += (w / 2.0) / n_phi * float(np.vdot(amps, rho.mat @ amps).real)
+            total += (w / 2.0) / n_phi * pure_fidelity(bloch_ket(q), clone_marginal_fn(q))
     return total
 
 
@@ -257,21 +246,12 @@ class SeparabilityInterval:
         return self.lower < alpha2 < self.upper
 
 
-def _register_fn(method: str) -> Callable[[float], DensityOperator]:
-    if method == "local":
-        return local_register_clone
-    if method == "nonlocal":
-        return nonlocal_register_clone
-    raise ValueError(f"method must be 'local' or 'nonlocal', got {method!r}")
-
-
 def inseparability_boundary(method: str, resolution: float = 1e-8) -> SeparabilityInterval:
     """Bisect for the alpha^2 boundaries where the cloned register pair
     switches between separable and inseparable."""
-    clone = _register_fn(method)
 
     def inseparable(alpha2: float) -> bool:
-        sep, _ = ppt_separable(clone(math.sqrt(alpha2)))
+        sep, _ = ppt_separable(register_clone(method, math.sqrt(alpha2)))
         return not sep
 
     if not inseparable(0.5) or inseparable(0.0) or inseparable(1.0):

@@ -17,13 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import analysis
-from .cloners import (
-    gisin_massar_map,
-    local_register_clone,
-    mdim_clone,
-    nonlocal_register_clone,
-    uqcm_map,
-)
+from .cloners import gisin_massar_map, mdim_clone, register_clone, uqcm_map
 from .linalg import (
     StateVector,
     SubsystemLayout,
@@ -31,11 +25,12 @@ from .linalg import (
     hermitian_eigenvalues,
     outer,
     partial_transpose,
+    pure_fidelity,
     reduced_density,
     von_neumann_entropy,
 )
 from .network import build_prep_circuit_1, clone_via_network, run_circuit
-from .states import BlochQubit, bloch_ket, haar_random_ket, random_bloch
+from .states import BlochQubit, bloch_ket, haar_random_ket, random_bloch, register_ket
 
 
 @dataclass(frozen=True)
@@ -97,14 +92,14 @@ def criterion_network_uqcm() -> CriterionResult:
     s_vals, residuals, fids = [], [], []
     for q in _haar_qubits(100, seed=11):
         psi = clone_via_network(q, 1)
-        ideal = outer(bloch_ket(q))
-        amps = bloch_ket(q).amps
+        ket = bloch_ket(q)
+        ideal = outer(ket)
         for wire in (0, 1):
             marg = reduced_density(psi, [wire])
             fit = analysis.extract_scaling_factor(marg, ideal)
             s_vals.append(fit.s)
             residuals.append(fit.residual)
-            fids.append(float(np.vdot(amps, marg.mat @ amps).real))
+            fids.append(pure_fidelity(ket, marg))
     rows = (
         CheckRow("scaling factor s, both clones, 100 Haar inputs", 2.0 / 3.0, _worst(s_vals, 2 / 3), 1e-10),
         CheckRow("scaled-form residual (max norm)", 0.0, max(residuals), 1e-10),
@@ -285,17 +280,12 @@ def criterion_register() -> CriterionResult:
     """Cloned register pairs match their closed-form densities; the
     inseparability intervals land on the analytic boundaries and the
     nonlocal interval strictly contains the local one."""
-    local_dev = nonlocal_dev = 0.0
+    dev = {"local": 0.0, "nonlocal": 0.0}
     for alpha2 in np.linspace(0.0, 1.0, 20):
         alpha = math.sqrt(float(alpha2))
-        local_dev = max(
-            local_dev,
-            float(np.abs(local_register_clone(alpha).mat - analysis.register_pair_formula("local", alpha).mat).max()),
-        )
-        nonlocal_dev = max(
-            nonlocal_dev,
-            float(np.abs(nonlocal_register_clone(alpha).mat - analysis.register_pair_formula("nonlocal", alpha).mat).max()),
-        )
+        for method in dev:
+            got = register_clone(method, alpha).mat
+            dev[method] = max(dev[method], float(np.abs(got - analysis.register_pair_formula(method, alpha).mat).max()))
     local = analysis.inseparability_boundary("local")
     nonloc = analysis.inseparability_boundary("nonlocal")
     lo_ref = 0.5 - math.sqrt(39.0) / 16.0
@@ -304,8 +294,8 @@ def criterion_register() -> CriterionResult:
     hi_ref_nl = 0.5 + math.sqrt(2.0) / 3.0
     contains = nonloc.lower < local.lower and local.upper < nonloc.upper
     rows = (
-        CheckRow("local pair density vs closed form (max dev)", 0.0, local_dev, 1e-10),
-        CheckRow("nonlocal pair density vs closed form (max dev)", 0.0, nonlocal_dev, 1e-10),
+        CheckRow("local pair density vs closed form (max dev)", 0.0, dev["local"], 1e-10),
+        CheckRow("nonlocal pair density vs closed form (max dev)", 0.0, dev["nonlocal"], 1e-10),
         CheckRow("local inseparability onset (alpha^2)", lo_ref, local.lower, 1e-6),
         CheckRow("local inseparability end (alpha^2)", hi_ref, local.upper, 1e-6),
         CheckRow("nonlocal inseparability onset (alpha^2)", lo_ref_nl, nonloc.lower, 1e-6),
@@ -380,11 +370,7 @@ def criterion_universality() -> CriterionResult:
     dists = []
     for _ in range(100):
         alpha = math.sqrt(rng.uniform(0.0, 1.0))
-        rho = local_register_clone(alpha)
-        beta = math.sqrt(1.0 - alpha * alpha)
-        vec = np.array([alpha, 0.0, 0.0, beta], dtype=np.complex128)
-        ideal = outer(StateVector(SubsystemLayout((2, 2)), vec))
-        dists.append(bures_distance(rho, ideal))
+        dists.append(bures_distance(register_clone("local", alpha), outer(register_ket(alpha))))
     rows.append(
         CheckRow("Bures spread, local register cloner (must exceed 1e-3)", 1e-3, spread(dists), 0.0, mode="ge")
     )

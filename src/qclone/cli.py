@@ -15,7 +15,7 @@ import numpy as np
 
 from . import checks
 from .analysis import fidelity_formula, mdim_formulas, ppt_separable, scaling_factor_formula
-from .cloners import local_register_clone, nonlocal_register_clone
+from .cloners import register_clone
 from .network import build_copy_stage, build_prep_circuit_1, circuit_to_text
 from .report import report_gm, report_mdim, report_register, report_uqcm
 from .states import BlochQubit, haar_random_ket, random_bloch
@@ -62,6 +62,8 @@ def _parse_grid(spec: str, parser: argparse.ArgumentParser, what: str) -> np.nda
         steps = int(parts[2])
     except ValueError:
         parser.error(f"{what} expects numeric START:STOP:STEPS, got {spec!r}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        parser.error(f"{what}: START and STOP must be finite, got {spec!r}")
     if steps < 2 or not start < stop:
         parser.error(f"{what}: need START < STOP and STEPS >= 2, got {spec!r}")
     return np.linspace(start, stop, steps)
@@ -170,11 +172,12 @@ def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     elif args.name == "register-negativity":
         if args.alpha2 is None or args.method is None:
             parser.error("sweep register-negativity needs --alpha2 START:STOP:STEPS and --method")
-        clone = local_register_clone if args.method == "local" else nonlocal_register_clone
+        grid = _parse_grid(args.alpha2, parser, "--alpha2")
+        if grid[0] < 0.0 or grid[-1] > 1.0:
+            parser.error(f"--alpha2 grid must lie in [0, 1], got {args.alpha2!r}")
         rows.append("alpha2,min_pt_eigenvalue,separable")
-        for alpha2 in _parse_grid(args.alpha2, parser, "--alpha2"):
-            a2 = min(max(float(alpha2), 0.0), 1.0)
-            sep, min_eig = ppt_separable(clone(math.sqrt(a2)))
+        for a2 in grid.tolist():
+            sep, min_eig = ppt_separable(register_clone(args.method, math.sqrt(a2)))
             rows.append(f"{a2:.12g},{min_eig:.12g},{str(sep).lower()}")
     else:  # unreachable through argparse choices
         parser.error(f"unknown sweep {args.name!r}")

@@ -19,7 +19,7 @@ from .linalg import (
     TOL_CONSTRUCT,
     reduced_density,
 )
-from .states import BlochQubit, SymmetricIndex, bloch_ket, symmetric_basis_ket
+from .states import BlochQubit, SymmetricIndex, bloch_ket, register_ket, symmetric_basis_ket
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,12 +176,6 @@ def mdim_clone(phi: StateVector) -> CloneOutput:
     return CloneOutput(joint=joint, clone_count=2, copier_dims=(m,))
 
 
-def _register_ket(alpha: float) -> tuple[float, float]:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    return float(alpha), math.sqrt(max(0.0, 1.0 - alpha * alpha))
-
-
 def local_register_clone(alpha: float) -> DensityOperator:
     """Clone the two-qubit register alpha|00> + beta|11> qubit by qubit.
 
@@ -190,13 +184,13 @@ def local_register_clone(alpha: float) -> DensityOperator:
     of the other.  Both pairings carry the same state (asserted here), and
     that common two-qubit density operator is returned.
     """
-    a, b = _register_ket(alpha)
+    ket = register_ket(alpha)
     basis = np.eye(2, dtype=np.complex128)
     iso = np.zeros((8, 2), dtype=np.complex128)
     for i in range(2):
         iso[:, i] = mdim_clone(StateVector(SubsystemLayout((2,)), basis[i])).joint.amps
     # wires after kron: (a_0, a_1, x_I, b_0, b_1, x_II)
-    joint = np.kron(iso, iso) @ np.array([a, 0.0, 0.0, b], dtype=np.complex128)
+    joint = np.kron(iso, iso) @ ket.amps
     psi = StateVector(SubsystemLayout((2,) * 6), joint)
     pair_ab = reduced_density(psi, [0, 4])  # (a_0, b_1)
     pair_ba = reduced_density(psi, [1, 3])  # (a_1, b_0)
@@ -213,10 +207,8 @@ def nonlocal_register_clone(alpha: float) -> DensityOperator:
     copies carry the same state (asserted here); the first one is returned
     with its four levels read as qubit pairs |00>, |01>, |10>, |11>.
     """
-    a, b = _register_ket(alpha)
-    vec = np.zeros(4, dtype=np.complex128)
-    vec[0], vec[3] = a, b  # basis order |00>, |01>, |10>, |11>
-    out = mdim_clone(StateVector(SubsystemLayout((4,)), vec))
+    # the four levels are the register basis |00>, |01>, |10>, |11>
+    out = mdim_clone(StateVector(SubsystemLayout((4,)), register_ket(alpha).amps))
     # reinterpret (4, 4, 4) as qubit wires (a_0, b_0, a_1, b_1) + copier
     psi = StateVector(SubsystemLayout((2, 2, 2, 2, 4)), out.joint.amps)
     copy_a = reduced_density(psi, [0, 1])  # register copy (a_0, b_0)
@@ -224,3 +216,12 @@ def nonlocal_register_clone(alpha: float) -> DensityOperator:
     if np.abs(copy_a.mat - copy_b.mat).max() > TOL_CONSTRUCT:
         raise AssertionError("register copies disagree; cloner is broken")
     return copy_a
+
+
+def register_clone(method: str, alpha: float) -> DensityOperator:
+    """Cloned register pairing by method name, ``local`` or ``nonlocal``."""
+    if method == "local":
+        return local_register_clone(alpha)
+    if method == "nonlocal":
+        return nonlocal_register_clone(alpha)
+    raise ValueError(f"method must be 'local' or 'nonlocal', got {method!r}")

@@ -268,6 +268,11 @@ def purity(rho) -> float:
     return float(np.vdot(mat, mat).real)
 
 
+def pure_fidelity(psi: StateVector, rho: DensityOperator) -> float:
+    """Fidelity <psi|rho|psi> of an operator against the pure state psi."""
+    return float(np.vdot(psi.amps, rho.mat @ psi.amps).real)
+
+
 def _clipped_sqrt(w: np.ndarray) -> np.ndarray:
     """Square roots of nominally nonnegative eigenvalues.
 

@@ -7,32 +7,22 @@ without further loss.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .analysis import extract_scaling_factor, ppt_separable
-from .cloners import (
-    CloneOutput,
-    gisin_massar_map,
-    local_register_clone,
-    mdim_clone,
-    nonlocal_register_clone,
-    uqcm_map,
-)
+from .cloners import CloneOutput, gisin_massar_map, mdim_clone, register_clone, uqcm_map
 from .linalg import (
     DensityOperator,
     StateVector,
-    SubsystemLayout,
     bures_distance,
     hermitian_eigenvalues,
     outer,
     partial_transpose,
+    pure_fidelity,
     purity,
     von_neumann_entropy,
 )
-from .states import BlochQubit, bloch_ket
+from .states import BlochQubit, bloch_ket, register_ket
 
 
 def round12(x: float) -> float:
@@ -143,114 +133,87 @@ class CloneReport:
         return "\n".join(lines) + "\n"
 
 
-def _clone_pair_checks(out: CloneOutput) -> tuple[list[float], dict[str, bool]]:
-    """PT spectrum of the first clone pair plus separability verdicts of
-    every two-qubit clone pair."""
-    if out.joint.layout.dims[0] != 2 or out.clone_count < 2:
-        return [], {}
-    first = out.pair_marginal(0, 1)
-    spectrum = [float(x) for x in hermitian_eigenvalues(partial_transpose(first, 1))]
-    verdicts = {}
-    for i in range(out.clone_count):
-        for j in range(i + 1, out.clone_count):
-            sep, _ = ppt_separable(out.pair_marginal(i, j))
-            verdicts[f"a{i}-a{j}"] = sep
-    return spectrum, verdicts
-
-
-def _qubit_report(kind: str, n: int, q: BlochQubit, out: CloneOutput, seed=None) -> CloneReport:
-    ideal = outer(bloch_ket(q))
-    marg = out.clone_marginal(0)
-    fit = extract_scaling_factor(marg, ideal)
-    spectrum, verdicts = _clone_pair_checks(out)
-    info = {"theta": round12(q.theta), "phi": round12(q.phi)}
+def _input(seed=None, **values) -> dict:
+    info = {k: round12(v) for k, v in values.items()}
     if seed is not None:
         info["seed"] = seed
+    return info
+
+
+def _pt_spectrum(rho: DensityOperator) -> list[float]:
+    return [float(x) for x in hermitian_eigenvalues(partial_transpose(rho, 1))]
+
+
+def _clone_pair_checks(out: CloneOutput) -> tuple[list[float], dict[str, bool]]:
+    """PT spectrum of the first clone pair for clones of dimension up to 8
+    (beyond that the d^2 x d^2 eigensolve is not worth it), plus the
+    separability verdict of every pair of qubit clones, where the PT test is
+    conclusive."""
+    d = out.joint.layout.dims[0]
+    if d > 8:
+        return [], {}
+    verdicts = {}
+    if d == 2:
+        for i in range(out.clone_count):
+            for j in range(i + 1, out.clone_count):
+                verdicts[f"a{i}-a{j}"] = ppt_separable(out.pair_marginal(i, j))[0]
+    return _pt_spectrum(out.pair_marginal(0, 1)), verdicts
+
+
+def _report(kind: str, n_or_m: int, info: dict, psi: StateVector, rho: DensityOperator, **rest) -> CloneReport:
+    """Report on an output rho of the pure input psi: fit, fidelity and
+    Bures distance, plus the kind-specific fields in ``rest``."""
+    ideal = outer(psi)
+    fit = extract_scaling_factor(rho, ideal)
     return CloneReport(
         kind=kind,
-        n_or_m=n,
+        n_or_m=n_or_m,
         input=info,
         scaling_factor=fit.s,
         scaling_residual=fit.residual,
-        fidelity=float(np.vdot(bloch_ket(q).amps, marg.mat @ bloch_ket(q).amps).real),
-        bures=bures_distance(marg, ideal),
+        fidelity=pure_fidelity(psi, rho),
+        bures=bures_distance(rho, ideal),
+        **rest,
+    )
+
+
+def _cloner_report(kind: str, size: int, info: dict, psi: StateVector, out: CloneOutput) -> CloneReport:
+    """Report on one cloning run of psi: the common fields of ``_report`` on
+    the first clone, clone-pair checks, copier purity and entropies."""
+    marg = out.clone_marginal(0)
+    copier = out.copier_marginal()
+    spectrum, verdicts = _clone_pair_checks(out)
+    return _report(
+        kind, size, info, psi, marg,
         pt_eigenvalues=spectrum,
         separable=verdicts,
-        purity_xi=purity(out.copier_marginal()),
-        entropies={
-            "clone": von_neumann_entropy(marg),
-            "copier": von_neumann_entropy(out.copier_marginal()),
-        },
+        purity_xi=purity(copier),
+        entropies={"clone": von_neumann_entropy(marg), "copier": von_neumann_entropy(copier)},
     )
 
 
 def report_uqcm(q: BlochQubit, seed=None) -> CloneReport:
     """Measure everything on one symmetric 1-to-2 qubit cloning run."""
-    return _qubit_report("uqcm", 1, q, uqcm_map(q), seed)
+    return _cloner_report("uqcm", 1, _input(seed, theta=q.theta, phi=q.phi), bloch_ket(q), uqcm_map(q))
 
 
 def report_gm(q: BlochQubit, n: int, seed=None) -> CloneReport:
     """Measure everything on one 1-to-(n+1) cloning run."""
-    return _qubit_report("gm", n, q, gisin_massar_map(q, n), seed)
+    return _cloner_report("gm", n, _input(seed, theta=q.theta, phi=q.phi), bloch_ket(q), gisin_massar_map(q, n))
 
 
 def report_mdim(phi: StateVector, seed=None) -> CloneReport:
     """Measure everything on one M-dimensional cloning run."""
-    m = phi.dim
-    out = mdim_clone(phi)
-    ideal = outer(phi)
-    marg = out.clone_marginal(0)
-    fit = extract_scaling_factor(marg, ideal)
-    if m == 2:
-        spectrum, verdicts = _clone_pair_checks(out)
-    elif m <= 8:
-        spectrum = [float(x) for x in hermitian_eigenvalues(partial_transpose(out.pair_marginal(0, 1), 1))]
-        verdicts = {}
-    else:  # PT spectrum of an m^2 x m^2 matrix is not worth the eigensolve
-        spectrum, verdicts = [], {}
-    info = {} if seed is None else {"seed": seed}
-    return CloneReport(
-        kind="mdim",
-        n_or_m=m,
-        input=info,
-        scaling_factor=fit.s,
-        scaling_residual=fit.residual,
-        fidelity=float(np.vdot(phi.amps, marg.mat @ phi.amps).real),
-        bures=bures_distance(marg, ideal),
-        pt_eigenvalues=spectrum,
-        separable=verdicts,
-        purity_xi=purity(out.copier_marginal()),
-        entropies={
-            "clone": von_neumann_entropy(marg),
-            "copier": von_neumann_entropy(out.copier_marginal()),
-        },
-    )
+    return _cloner_report("mdim", phi.dim, _input(seed), phi, mdim_clone(phi))
 
 
 def report_register(method: str, alpha: float) -> CloneReport:
     """Measure everything on one cloned register pairing."""
-    if method == "local":
-        rho = local_register_clone(alpha)
-    elif method == "nonlocal":
-        rho = nonlocal_register_clone(alpha)
-    else:
-        raise ValueError(f"method must be 'local' or 'nonlocal', got {method!r}")
-    beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
-    ideal_vec = np.zeros(4, dtype=np.complex128)
-    ideal_vec[0], ideal_vec[3] = alpha, beta
-    ideal = outer(StateVector(SubsystemLayout((2, 2)), ideal_vec))
-    fit = extract_scaling_factor(rho, ideal)
+    rho = register_clone(method, alpha)
     sep, _ = ppt_separable(rho)
-    return CloneReport(
-        kind=f"register-{method}",
-        n_or_m=4,
-        input={"alpha": round12(alpha)},
-        scaling_factor=fit.s,
-        scaling_residual=fit.residual,
-        fidelity=float(np.vdot(ideal_vec, rho.mat @ ideal_vec).real),
-        bures=bures_distance(rho, ideal),
-        pt_eigenvalues=[float(x) for x in hermitian_eigenvalues(partial_transpose(rho, 1))],
+    return _report(
+        f"register-{method}", 4, _input(alpha=alpha), register_ket(alpha), rho,
+        pt_eigenvalues=_pt_spectrum(rho),
         separable={"a0b1": sep},
-        purity_xi=None,
         entropies={"clone_pair": von_neumann_entropy(rho)},
     )

@@ -58,6 +58,15 @@ def orthogonal_ket(q: BlochQubit) -> StateVector:
     return StateVector(SubsystemLayout((2,)), np.array([b.conjugate(), -a.conjugate()]))
 
 
+def register_ket(alpha: float) -> StateVector:
+    """Two-qubit register alpha|00> + beta|11> with real amplitudes,
+    beta = sqrt(1 - alpha^2)."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
+    return StateVector(SubsystemLayout((2, 2)), np.array([alpha, 0.0, 0.0, beta]))
+
+
 @lru_cache(maxsize=None)
 def _symmetric_amps(n: int, k: int) -> np.ndarray:
     """Equal-weight superposition of all n-bit basis states with k ones."""

@@ -75,6 +75,9 @@ def test_clone_csv_and_table(capsys):
         ("clone", "uqcm", "--seed", "-1"),                # negative seed
         ("clone", "mdim", "65"),                          # dimension over the limit
         ("clone", "mdim", "1"),                           # dimension below the floor
+        ("sweep", "register-negativity", "--alpha2=0:inf:5", "--method", "local"),      # infinite STOP
+        ("sweep", "register-negativity", "--alpha2=-inf:1:5", "--method", "local"),     # infinite START
+        ("sweep", "register-negativity", "--alpha2=-0.5:1.5:5", "--method", "local"),  # grid outside [0, 1]
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -10,9 +10,10 @@ from qclone.cloners import (
     mdim_clone,
     mdim_coefficients,
     nonlocal_register_clone,
+    register_clone,
     uqcm_map,
 )
-from qclone.linalg import StateVector, SubsystemLayout, outer, purity
+from qclone.linalg import StateVector, SubsystemLayout
 from qclone.states import BlochQubit, bloch_ket, haar_random_ket, orthogonal_ket, random_bloch
 
 
@@ -188,3 +189,10 @@ class TestRegisterCloners:
             local_register_clone(1.5)
         with pytest.raises(ValueError):
             nonlocal_register_clone(-0.1)
+
+    def test_dispatch_by_method_name(self):
+        a = math.sqrt(0.3)
+        np.testing.assert_array_equal(register_clone("local", a).mat, local_register_clone(a).mat)
+        np.testing.assert_array_equal(register_clone("nonlocal", a).mat, nonlocal_register_clone(a).mat)
+        with pytest.raises(ValueError):
+            register_clone("global", a)

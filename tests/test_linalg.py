@@ -14,6 +14,7 @@ from qclone.linalg import (
     outer,
     partial_trace,
     partial_transpose,
+    pure_fidelity,
     purity,
     reduced_density,
     sqrt_fidelity,
@@ -192,6 +193,15 @@ def test_sqrt_fidelity_pure_shortcut():
     expect = math.sqrt(float(np.vdot(psi.amps, rho.mat @ psi.amps).real))
     np.testing.assert_allclose(sqrt_fidelity(rho, outer(psi)), expect, rtol=0, atol=1e-12)
     np.testing.assert_allclose(sqrt_fidelity(outer(psi), rho), expect, rtol=0, atol=1e-12)
+
+
+def test_pure_fidelity_is_squared_root_fidelity():
+    rng = np.random.default_rng(12)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho = DensityOperator(SubsystemLayout((4,)), g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi = StateVector(SubsystemLayout((4,)), amps / np.linalg.norm(amps))
+    np.testing.assert_allclose(pure_fidelity(psi, rho), sqrt_fidelity(rho, outer(psi)) ** 2, rtol=0, atol=1e-12)
 
 
 def test_sqrt_fidelity_pure_pure_is_overlap():

@@ -19,7 +19,7 @@ from qclone.network import (
     rotation,
     run_circuit,
 )
-from qclone.states import BlochQubit, bloch_ket, prep_state, random_bloch
+from qclone.states import BlochQubit, prep_state, random_bloch
 
 
 def ket(*bits):

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from qclone.report import (
     CloneReport,
@@ -61,6 +62,8 @@ def test_register_report():
     assert rep.separable == {"a0b1": False}
     rep = report_register("local", 1.0)
     assert rep.separable == {"a0b1": True}
+    with pytest.raises(ValueError):
+        report_register("global", 0.5)
 
 
 def test_json_round_trip_and_rounding():

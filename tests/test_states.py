@@ -1,10 +1,9 @@
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
 
-from qclone.linalg import SubsystemLayout, outer, purity
+from qclone.linalg import outer, purity
 from qclone.states import (
     BlochQubit,
     SymmetricIndex,
@@ -13,6 +12,7 @@ from qclone.states import (
     orthogonal_ket,
     prep_state,
     random_bloch,
+    register_ket,
     scaled_state,
     symmetric_basis_ket,
 )
@@ -49,6 +49,19 @@ def test_orthogonal_ket():
         np.testing.assert_allclose(np.vdot(a, b), 0.0, atol=1e-15)
         np.testing.assert_allclose(np.vdot(b, b).real, 1.0, atol=1e-15)
         np.testing.assert_allclose(b, [a[1].conj(), -a[0].conj()], atol=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, math.sqrt(0.3)])
+def test_register_ket_is_normalized(alpha):
+    amps = register_ket(alpha).amps
+    np.testing.assert_allclose(np.vdot(amps, amps).real, 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(amps, [alpha, 0, 0, math.sqrt(1 - alpha**2)], atol=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [1.5, math.nan])
+def test_register_ket_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError):
+        register_ket(alpha)
 
 
 class TestSymmetricBasis:
