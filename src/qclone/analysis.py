@@ -83,17 +83,21 @@ def mean_fidelity(
     in phi; both resolutions must be at least 16.  For every machine in this
     package the integrand is low-order in cos(theta), so the quadrature is
     exact far below the 1e-6 tolerance the checks use.
+
+    ``clone_marginal_fn`` is called once per node in cos(theta), with a
+    batched BlochQubit holding that row's ``n_phi`` angles.  It returns the
+    batch of clone marginals, or one DensityOperator that then serves every
+    input of the row.
     """
     if n_cos < 16 or n_phi < 16:
         raise ValueError("quadrature grid must be at least 16 x 16")
     nodes, weights = np.polynomial.legendre.leggauss(n_cos)
+    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
     total = 0.0
     for x, w in zip(nodes, weights):
-        theta = math.acos(float(x))
-        for j in range(n_phi):
-            q = BlochQubit(theta, 2.0 * math.pi * j / n_phi)
-            total += (w / 2.0) / n_phi * pure_fidelity(bloch_ket(q), clone_marginal_fn(q))
-    return total
+        q = BlochQubit(np.full(n_phi, math.acos(float(x))), phis)
+        total += (w / 2.0) / n_phi * np.sum(pure_fidelity(bloch_ket(q), clone_marginal_fn(q)))
+    return float(total)
 
 
 def ppt_separable(rho: DensityOperator) -> tuple[bool, float]:

@@ -84,17 +84,31 @@ def _uqcm_columns() -> tuple[np.ndarray, np.ndarray]:
     return col0, col1
 
 
+def _linear_image(q: BlochQubit, col0: np.ndarray, col1: np.ndarray) -> np.ndarray:
+    """a*col0 + b*col1 for the ket a|0> + b|1> of q, one row per qubit of a
+    batch."""
+    amps = bloch_ket(q).amps
+    return amps[..., :1] * col0 + amps[..., 1:] * col1
+
+
+_UQCM_LAYOUT = SubsystemLayout((2, 2, 2))
+
+
 def uqcm_map(q: BlochQubit) -> CloneOutput:
     """Symmetric 1-to-2 qubit cloner as a direct isometry on (a_0, a_1, x).
 
     |0> goes to sqrt(2/3)|00>|0> + sqrt(1/3)|+>|1> and |1> to
     sqrt(2/3)|11>|1> + sqrt(1/3)|+>|0>, with |+> = (|01>+|10>)/sqrt(2);
-    general inputs extend linearly.
+    general inputs extend linearly, and a batched ``q`` gives the batch of
+    joint outputs.
     """
-    col0, col1 = _uqcm_columns()
-    a, b = bloch_ket(q).amps
-    joint = StateVector(SubsystemLayout((2, 2, 2)), a * col0 + b * col1)
+    joint = StateVector(_UQCM_LAYOUT, _linear_image(q, *_uqcm_columns()))
     return CloneOutput(joint=joint, clone_count=2, copier_dims=(2,))
+
+
+@lru_cache(maxsize=None)
+def _gm_layout(n: int) -> SubsystemLayout:
+    return SubsystemLayout((2,) * (2 * n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -122,12 +136,11 @@ def _gm_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gisin_massar_map(q: BlochQubit, n: int) -> CloneOutput:
     """Optimal symmetric 1-to-(n+1) cloner, Gisin-Massar form, on wires
-    (a_0..a_n, b_1..b_n): n+1 clones followed by the n-qubit copier."""
+    (a_0..a_n, b_1..b_n): n+1 clones followed by the n-qubit copier.  A
+    batched ``q`` gives the batch of joint outputs."""
     if not 1 <= n <= 8:
         raise ValueError(f"clone count is limited to 1 <= n <= 8, got {n}")
-    col0, col1 = _gm_columns(n)
-    a, b = bloch_ket(q).amps
-    joint = StateVector(SubsystemLayout((2,) * (2 * n + 1)), a * col0 + b * col1)
+    joint = StateVector(_gm_layout(n), _linear_image(q, *_gm_columns(n)))
     return CloneOutput(joint=joint, clone_count=n + 1, copier_dims=(2,) * n)
 
 

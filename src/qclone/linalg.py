@@ -41,9 +41,15 @@ def _check_finite(a: np.ndarray, what: str) -> None:
 
 
 def _check_hermitian(mat: np.ndarray) -> None:
-    if not np.abs(mat - mat.conj().T).max() <= TOL_CONSTRUCT:
+    if not np.abs(mat - mat.conj().swapaxes(-1, -2)).max() <= TOL_CONSTRUCT:
         _check_finite(mat, "matrix entries")
         raise ValueError("matrix is not Hermitian within 1e-12")
+
+
+def _worst(values: np.ndarray, ref: float) -> complex:
+    """The entry farthest from ``ref``, as a Python number for messages."""
+    values = np.asarray(values).reshape(-1)
+    return values[np.argmax(np.abs(values - ref))].item()
 
 
 @dataclass(frozen=True)
@@ -74,36 +80,47 @@ class SubsystemLayout:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized pure state over an explicit subsystem layout."""
+    """Normalized pure state over an explicit subsystem layout.
+
+    ``amps`` holds one state, or a batch of K states as a (K, D) array whose
+    rows are each validated; the batch axis leads everywhere it is carried.
+    """
 
     layout: SubsystemLayout
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amps, dtype=np.complex128, copy=True).reshape(-1)
-        if amps.size != self.layout.total:
-            raise ValueError(
-                f"amplitude count {amps.size} does not match layout dimension "
-                f"{self.layout.total}"
-            )
-        norm2 = float(np.vdot(amps, amps).real)
-        if not abs(norm2 - 1.0) <= TOL_CONSTRUCT:
+        amps = np.array(self.amps, dtype=np.complex128, copy=True)
+        d = self.layout.total
+        if amps.ndim != 2 or amps.shape[1] != d:
+            amps = amps.reshape(-1)
+            if amps.size != d:
+                raise ValueError(f"amplitude count {amps.size} does not match layout dimension {d}")
+        elif amps.shape[0] == 0:
+            raise ValueError("a batch needs at least one state")
+        # squared norms as one real dot product per state: no conjugate copy
+        # of a wide joint state
+        re = amps.view(np.float64)[..., None, :]
+        norm2 = (re @ re.swapaxes(-1, -2))[..., 0, 0]
+        if not abs(norm2 - 1.0).max() <= TOL_CONSTRUCT:
             _check_finite(amps, "amplitudes")
-            raise ValueError(f"state is not normalized: |amps|^2 = {norm2!r}")
+            raise ValueError(f"state is not normalized: |amps|^2 = {_worst(norm2, 1.0)!r}")
         object.__setattr__(self, "amps", _freeze(amps))
 
     @property
     def dim(self) -> int:
-        return self.amps.size
+        return self.layout.total
 
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Unit-trace positive-semidefinite operator over an explicit layout.
 
-    Construction enforces finite entries, Hermiticity and trace within 1e-12
-    and eigenvalues >= -1e-10.  Positivity is certified by a Gershgorin bound
-    when that is already conclusive, otherwise by a full eigensolve.
+    ``mat`` holds one (d, d) operator, or a batch of K as a (K, d, d) array.
+    Construction enforces, on every element, finite entries, Hermiticity and
+    trace within 1e-12 and eigenvalues >= -1e-10.  Positivity is certified by
+    a Gershgorin bound where that is already conclusive; the elements it
+    leaves open go to one stacked eigenvalue solve.
     """
 
     layout: SubsystemLayout
@@ -112,17 +129,21 @@ class DensityOperator:
     def __post_init__(self):
         mat = np.array(self.mat, dtype=np.complex128, copy=True)
         d = self.layout.total
-        if mat.shape != (d, d):
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (d, d) or mat.shape[0] == 0:
             raise ValueError(f"matrix shape {mat.shape} does not match layout dimension {d}")
         _check_hermitian(mat)
-        tr = complex(np.trace(mat))
-        if not abs(tr - 1.0) <= TOL_CONSTRUCT:
-            raise ValueError(f"trace must be 1 within 1e-12, got {tr!r}")
-        gersh = float(np.min(mat.diagonal().real - (np.abs(mat).sum(axis=1) - np.abs(mat.diagonal()))))
-        if not gersh >= -TOL_SPECTRAL:
-            w, _ = np.linalg.eigh(mat)
-            if not w[0] >= -TOL_SPECTRAL:
-                raise ValueError(f"operator has a negative eigenvalue: {w[0]!r}")
+        tr = np.trace(mat, axis1=-2, axis2=-1)
+        if not abs(tr - 1.0).max() <= TOL_CONSTRUCT:
+            raise ValueError(f"trace must be 1 within 1e-12, got {_worst(tr, 1.0)!r}")
+        diag = mat.diagonal(axis1=-2, axis2=-1)
+        gersh = diag.real - (np.abs(mat).sum(axis=-1) - np.abs(diag))
+        if not gersh.min() >= -TOL_SPECTRAL:
+            # only the elements the bound leaves open are solved, values only;
+            # a 0-d mask adds the batch axis, so one operator is a batch of one
+            undecided = ~(gersh.min(axis=-1) >= -TOL_SPECTRAL)
+            w = np.linalg.eigvalsh(mat[undecided])[:, 0]
+            if not w.min() >= -TOL_SPECTRAL:
+                raise ValueError(f"operator has a negative eigenvalue: {float(w.min())!r}")
         object.__setattr__(self, "mat", _freeze(mat))
 
     @property
@@ -149,11 +170,13 @@ def tensor(a, b):
     """Kronecker product of two states or two density operators.
 
     The first factor is most significant, matching the global index
-    convention; layouts concatenate.
+    convention; layouts concatenate.  Batches are rejected.
     """
     if isinstance(a, StateVector) and isinstance(b, StateVector):
+        _reject_batch(a.amps, b.amps, core=1)
         return StateVector(a.layout.concat(b.layout), np.kron(a.amps, b.amps))
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
+        _reject_batch(a.mat, b.mat, core=2)
         return DensityOperator(a.layout.concat(b.layout), np.kron(a.mat, b.mat))
     raise TypeError("tensor expects two StateVectors or two DensityOperators")
 
@@ -201,22 +224,25 @@ def reduced_density(psi: StateVector, keep: Sequence[int]) -> DensityOperator:
     Unlike :func:`partial_trace` the kept subsystems appear in the order
     given, which lets callers reorder while reducing.  This is the only
     practical route for the wide joint states the gate network produces.
+    A batch of states gives the batch of their marginals.
     """
     keep = list(keep)
     _check_subsystems(psi.layout, keep, "reduced_density")
     dims = psi.layout.dims
+    lead = psi.amps.shape[:-1]  # () for one state, (K,) for a batch
     rest = [j for j in range(len(dims)) if j not in keep]
-    a = psi.amps.reshape(dims).transpose(keep + rest)
+    axes = list(range(len(lead))) + [len(lead) + j for j in keep + rest]
+    a = psi.amps.reshape(lead + dims).transpose(axes)
     dkeep = math.prod(dims[j] for j in keep)
-    a = a.reshape(dkeep, -1)
+    a = a.reshape(lead + (dkeep, -1))
     # summing over column blocks keeps each conjugate copy small; a state
     # that fits in one block is still reduced by a single product
     step = max(1, _MARGINAL_BLOCK // dkeep)
-    b = a[:, :step]
-    red = b @ b.conj().T
-    for j in range(step, a.shape[1], step):
-        b = a[:, j:j + step]
-        red += b @ b.conj().T
+    b = a[..., :step]
+    red = b @ b.conj().swapaxes(-1, -2)
+    for j in range(step, a.shape[-1], step):
+        b = a[..., j:j + step]
+        red += b @ b.conj().swapaxes(-1, -2)
     return DensityOperator(SubsystemLayout(tuple(dims[j] for j in keep)), red)
 
 
@@ -235,10 +261,17 @@ def partial_transpose(rho: DensityOperator, sub: int) -> HermitianMatrix:
     return HermitianMatrix(_partial_transpose_mat(rho.mat, rho.layout.dims, sub))
 
 
+def _reject_batch(*arrays: np.ndarray, core: int) -> None:
+    """Raise for a batch where a function is defined on one state (core 1)
+    or one operator (core 2) only."""
+    if any(a.ndim != core for a in arrays):
+        raise ValueError("expected a single state or operator, not a batch")
+
+
 def _as_matrix(h) -> np.ndarray:
-    if isinstance(h, (HermitianMatrix, DensityOperator)):
-        return h.mat
-    return np.asarray(h, dtype=np.complex128)
+    mat = h.mat if isinstance(h, (HermitianMatrix, DensityOperator)) else np.asarray(h, dtype=np.complex128)
+    _reject_batch(mat, core=2)
+    return mat
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
@@ -258,6 +291,7 @@ def von_neumann_entropy(rho) -> float:
     """Entropy -sum(w log w) in nats; eigenvalues at or below zero are
     treated as exact zeros (their limit contribution vanishes)."""
     w = hermitian_eigenvalues(rho)
+    _reject_batch(w, core=1)
     w = w[w > 0.0]
     return float(-np.sum(w * np.log(w)))
 
@@ -268,9 +302,16 @@ def purity(rho) -> float:
     return float(np.vdot(mat, mat).real)
 
 
-def pure_fidelity(psi: StateVector, rho: DensityOperator) -> float:
-    """Fidelity <psi|rho|psi> of an operator against the pure state psi."""
-    return float(np.vdot(psi.amps, rho.mat @ psi.amps).real)
+def pure_fidelity(psi: StateVector, rho: DensityOperator):
+    """Fidelity <psi|rho|psi> of an operator against the pure state psi.
+
+    A float for one state and one operator; for a batch of states, or of
+    operators, or of both, the array of the elementwise fidelities (a single
+    state or operator pairs with every element of the other batch).
+    """
+    ket = psi.amps[..., :, None]
+    f = (ket.conj().swapaxes(-1, -2) @ (rho.mat @ ket))[..., 0, 0].real
+    return f if f.ndim else float(f)
 
 
 def _clipped_sqrt(w: np.ndarray) -> np.ndarray:
@@ -295,6 +336,7 @@ def sqrt_fidelity(rho1: DensityOperator, rho2: DensityOperator) -> float:
     arguments and equal to sqrt(<psi|rho1|psi>) when rho2 = |psi><psi|."""
     if rho1.mat.shape != rho2.mat.shape:
         raise ValueError("density operators have mismatched dimensions")
+    _reject_batch(rho1.mat, core=2)
     s = _psd_sqrt(rho1.mat)
     w, _ = np.linalg.eigh(s @ rho2.mat @ s)
     return float(_clipped_sqrt(w).sum())

@@ -19,16 +19,38 @@ class BlochQubit:
     cos(theta/2) multiplies |1>.  The phase rides on the |0> component,
     which is the reverse of the more common Bloch-sphere convention, so
     theta = pi is |0> and theta = 0 is |1>.
+
+    ``theta`` and ``phi`` may also be equal-shape 1-D arrays: a batch of
+    qubits, every entry validated, which the cloners take in one call.
     """
 
     theta: float
     phi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi!r}")
+        theta, phi = np.asarray(self.theta), np.asarray(self.phi)
+        if theta.ndim or phi.ndim:
+            if theta.ndim != 1 or theta.shape != phi.shape or theta.size == 0:
+                raise ValueError(f"batched angles must be equal-shape non-empty 1-D arrays, got {theta.shape} and {phi.shape}")
+            theta, phi = _frozen_copy(theta), _frozen_copy(phi)
+            object.__setattr__(self, "theta", theta)
+            object.__setattr__(self, "phi", phi)
+        ok = (theta >= 0.0) & (theta <= math.pi)
+        if not ok.all():
+            raise ValueError(f"theta must lie in [0, pi], got {_first_failing(theta, ok)!r}")
+        ok = (phi >= 0.0) & (phi < 2.0 * math.pi)
+        if not ok.all():
+            raise ValueError(f"phi must lie in [0, 2*pi), got {_first_failing(phi, ok)!r}")
+
+
+def _frozen_copy(a: np.ndarray) -> np.ndarray:
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+def _first_failing(x: np.ndarray, ok: np.ndarray) -> float:
+    return x.reshape(-1)[np.argmin(ok.reshape(-1))].item()
 
 
 @dataclass(frozen=True)
@@ -45,17 +67,26 @@ class SymmetricIndex:
             raise ValueError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
 
 
+_QUBIT = SubsystemLayout((2,))
+
+
+def _qubit_ket(alpha, beta) -> StateVector:
+    amps = np.empty(np.shape(alpha) + (2,), dtype=np.complex128)
+    amps[..., 0] = alpha
+    amps[..., 1] = beta
+    return StateVector(_QUBIT, amps)
+
+
 def bloch_ket(q: BlochQubit) -> StateVector:
-    """Single-qubit ket for the given polar angles."""
-    alpha = math.sin(q.theta / 2.0) * np.exp(1j * q.phi)
-    beta = math.cos(q.theta / 2.0)
-    return StateVector(SubsystemLayout((2,)), np.array([alpha, beta]))
+    """Single-qubit ket for the given polar angles; a batched BlochQubit
+    gives the (K, 2) batch of kets."""
+    return _qubit_ket(np.sin(q.theta / 2.0) * np.exp(1j * q.phi), np.cos(q.theta / 2.0))
 
 
 def orthogonal_ket(q: BlochQubit) -> StateVector:
     """The unique (up to phase) ket orthogonal to bloch_ket(q)."""
-    a, b = bloch_ket(q).amps
-    return StateVector(SubsystemLayout((2,)), np.array([b.conjugate(), -a.conjugate()]))
+    amps = bloch_ket(q).amps
+    return _qubit_ket(amps[..., 1].conj(), -amps[..., 0].conj())
 
 
 def register_ket(alpha: float) -> StateVector:

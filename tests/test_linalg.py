@@ -218,6 +218,37 @@ def test_bures_distance_extremes():
     np.testing.assert_allclose(bures_distance(zero, one), math.sqrt(2), rtol=0, atol=1e-12)
 
 
+def test_batched_marginals_and_fidelities():
+    amps = np.stack([BELL.amps, np.array([0, 1, 0, 0]), np.array([0, 0, 1, 0])])
+    batch = StateVector(SubsystemLayout((2, 2)), amps)
+    assert batch.amps.shape == (3, 4) and batch.dim == 4
+    marg = reduced_density(batch, [0])
+    assert marg.mat.shape == (3, 2, 2)
+    np.testing.assert_allclose(marg.mat[2], [[0, 0], [0, 1]], atol=1e-15)
+    for k in range(3):
+        one = StateVector(batch.layout, amps[k])
+        np.testing.assert_array_equal(marg.mat[k], reduced_density(one, [0]).mat)
+    zero = StateVector(SubsystemLayout((2,)), [1, 0])
+    kets = StateVector(SubsystemLayout((2,)), [[1, 0], [0, 1], [1, 0]])
+    np.testing.assert_allclose(pure_fidelity(kets, marg), [0.5, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(pure_fidelity(zero, marg), [0.5, 1.0, 0.0], atol=1e-15)
+    pure = reduced_density(StateVector(batch.layout, amps[1]), [0])
+    np.testing.assert_allclose(pure_fidelity(kets, pure), [1.0, 0.0, 1.0], atol=1e-15)
+    assert isinstance(pure_fidelity(zero, pure), float)
+
+
+def test_single_argument_functions_reject_batches():
+    rho = DensityOperator(SubsystemLayout((2,)), np.stack([np.eye(2) / 2] * 3))
+    for fn in (purity, von_neumann_entropy, lambda r: sqrt_fidelity(r, r), lambda r: tensor(r, r)):
+        with pytest.raises(ValueError):
+            fn(rho)
+    kets = StateVector(SubsystemLayout((2,)), np.eye(2))
+    with pytest.raises(ValueError):
+        tensor(kets, kets)
+    with pytest.raises(ValueError):
+        StateVector(SubsystemLayout((2,)), np.zeros((0, 2)))
+
+
 def test_ghz_reduction_via_state_vector():
     """reduced_density avoids the full density matrix, so large registers work."""
     psi = ghz(14)

@@ -29,6 +29,27 @@ class TestBlochQubit:
         with pytest.raises(ValueError):
             BlochQubit(1.0, -0.5)
 
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [
+            (1.0, np.array([0.1, 0.2])),                 # scalar with array
+            (np.array([0.1, 0.2]), np.array([0.1])),     # unequal lengths
+            (np.ones((2, 2)), np.ones((2, 2))),          # not 1-D
+            (np.array([]), np.array([])),                # empty
+        ],
+    )
+    def test_batch_shape_validation(self, theta, phi):
+        with pytest.raises(ValueError):
+            BlochQubit(theta, phi)
+
+    def test_batch_is_frozen_copy(self):
+        theta = np.array([0.5, 1.5])
+        q = BlochQubit(theta, np.zeros(2))
+        theta[0] = 9.0
+        assert q.theta[0] == 0.5 and not q.theta.flags.writeable
+        overlaps = (orthogonal_ket(q).amps.conj() * bloch_ket(q).amps).sum(axis=1)
+        np.testing.assert_allclose(overlaps, 0, atol=1e-15)
+
     def test_poles(self):
         """theta = pi points at |0>, theta = 0 at |1>."""
         np.testing.assert_allclose(bloch_ket(BlochQubit(math.pi, 0.0)).amps, [1, 0], atol=1e-15)
