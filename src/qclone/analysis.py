@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cloners import CloneOutput, gisin_massar_map, mdim_coefficients, register_clone
+from .cloners import CloneOutput, gisin_massar_map, register_clone
 from .linalg import (
     DensityOperator,
     StateVector,
@@ -35,7 +35,8 @@ SCALED_FORM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Least-squares fit of rho_out = s*rho_id + (1-s)/d * identity."""
+    """Least-squares fit of rho_out = s*rho_id + (1-s)/d * identity; for a
+    batch, ``s`` and ``residual`` are arrays with one entry per element."""
 
     s: float
     residual: float
@@ -45,21 +46,32 @@ class ScalingFit:
         return self.residual <= SCALED_FORM_TOL
 
 
+def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr(a^dagger b) of each pair of matrices in two stacks, as one
+    row-times-column product per pair (the sum ``np.vdot`` takes)."""
+    rows = a.conj().reshape(a.shape[:-2] + (1, -1))
+    cols = b.reshape(b.shape[:-2] + (-1, 1))
+    return (rows @ cols)[..., 0, 0].real
+
+
 def extract_scaling_factor(rho_out: DensityOperator, rho_id: DensityOperator) -> ScalingFit:
     """Best-fit scaling factor of an output against its ideal state, plus
-    the max-norm residual of the fit."""
-    if rho_out.mat.shape != rho_id.mat.shape:
+    the max-norm residual of the fit.  Batches pair elementwise, and a
+    single operator pairs with every element of the other batch."""
+    if rho_out.dim != rho_id.dim:
         raise ValueError("output and ideal operators have mismatched dimensions")
     d = rho_id.dim
     eye = np.eye(d) / d
     direction = rho_id.mat - eye
     target = rho_out.mat - eye
-    denom = float(np.vdot(direction, direction).real)
-    if denom < 1e-30:
+    denom = _real_inner(direction, direction)
+    if (denom < 1e-30).any():
         raise ValueError("ideal state is maximally mixed; scaling factor is undefined")
-    s = float(np.vdot(direction, target).real) / denom
-    residual = float(np.abs(target - s * direction).max())
-    return ScalingFit(s=s, residual=residual)
+    s = _real_inner(direction, target) / denom
+    residual = np.abs(target - s[..., None, None] * direction).max(axis=(-2, -1))
+    if s.ndim:
+        return ScalingFit(s=s, residual=residual)
+    return ScalingFit(s=float(s), residual=float(residual))
 
 
 def scaling_factor_formula(n: int) -> float:
@@ -170,24 +182,26 @@ def rho_a1b1_pt_spectrum(q: BlochQubit) -> np.ndarray:
     """Simulated PT spectrum of the (clone a_1, copier b_1) pair of the
     single-copy cloner.  For real input amplitudes this equals
     {(1-sqrt(17))/12, 1/6, (1+sqrt(17))/12, 2/3}; the smallest eigenvalue
-    stays negative for every input."""
+    stays negative for every input.  A batched ``q`` gives one ascending
+    spectrum per row."""
     out = gisin_massar_map(q, 1)
     rho = reduced_density(out.joint, [1, 2])  # (a_1, b_1)
     return hermitian_eigenvalues(partial_transpose(rho, 1))
 
 
-def idle_qubit_check(out: CloneOutput, q: BlochQubit) -> float:
+def idle_qubit_check(out: CloneOutput, q: BlochQubit):
     """Largest entrywise deviation of any single idle (copier) qubit from
-    the law rho_b = (1/3) rho_id^T + (1/3) identity."""
-    ideal_t = outer(bloch_ket(q)).mat.T
+    the law rho_b = (1/3) rho_id^T + (1/3) identity; for a batched output
+    and ``q``, the array of those deviations, one per input."""
+    ideal_t = outer(bloch_ket(q)).mat.swapaxes(-1, -2)
     expected = ideal_t / 3.0 + np.eye(2) / 3.0
     worst = 0.0
     for j, d in enumerate(out.copier_dims):
         if d != 2:
             raise ValueError("idle-qubit law applies to qubit copier wires only")
         got = out.idle_marginal(j).mat
-        worst = max(worst, float(np.abs(got - expected).max()))
-    return worst
+        worst = np.maximum(worst, np.abs(got - expected).max(axis=(-2, -1)))
+    return worst if np.ndim(worst) else float(worst)
 
 
 def purity_xi(n: int) -> float:
@@ -198,9 +212,13 @@ def purity_xi(n: int) -> float:
     return (2.0 * (2.0 * n * n + 7.0 * n + 6.0)) / (3.0 * (n + 1.0) * (n + 2.0) ** 2)
 
 
-def purity_xi_simulated(out: CloneOutput) -> float:
-    """Purity of the copier marginal of a simulated cloner output."""
-    return purity(out.copier_marginal())
+def purity_xi_simulated(out: CloneOutput):
+    """Purity of the copier marginal of a simulated cloner output; for a
+    batched output, the array of purities."""
+    mats = out.copier_marginal().mat
+    if mats.ndim == 2:
+        return purity(mats)
+    return np.array([purity(m) for m in mats])
 
 
 @dataclass(frozen=True)
@@ -232,10 +250,10 @@ def mdim_formulas(m: int) -> MdimFormulas:
 
 def mdim_copier_formula(phi: StateVector) -> DensityOperator:
     """Closed-form copier marginal of the M-dimensional cloner:
-    2d^2 rho_id^T + 2d^2 identity."""
+    (rho_id^T + identity) / (m + 1), which is 2d^2 (rho_id^T + identity)
+    for the cloner's coefficient d."""
     m = phi.dim
-    dd2 = 2.0 * mdim_coefficients(m).d ** 2
-    mat = dd2 * outer(phi).mat.T + dd2 * np.eye(m)
+    mat = (outer(phi).mat.swapaxes(-1, -2) + np.eye(m)) / (m + 1.0)
     return DensityOperator(SubsystemLayout((m,)), mat)
 
 

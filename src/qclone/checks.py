@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .cloners import gisin_massar_map, mdim_clone, register_clone, uqcm_map
 from .linalg import (
     StateVector,
     SubsystemLayout,
+    _worst,
     bures_distance,
     hermitian_eigenvalues,
     outer,
@@ -30,7 +31,11 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .network import build_prep_circuit_1, clone_via_network, run_circuit
-from .states import BlochQubit, bloch_ket, haar_random_ket, random_bloch, register_ket
+from .states import BlochQubit, bloch_ket, haar_random_ket, register_ket
+
+#: Most amplitudes one batched joint state may hold: the size of the single
+#: m = 64 joint state criterion 9 builds.
+_BATCH_AMPS = 2**18
 
 
 @dataclass(frozen=True)
@@ -74,35 +79,49 @@ class CriterionResult:
         return all(r.ok for r in self.rows)
 
 
-def _worst(values: Iterable[float], ref: float) -> float:
-    """The observed value farthest from the reference."""
-    vals = list(values)
-    return vals[int(np.argmax([abs(v - ref) for v in vals]))]
+def _haar_qubits(count: int, seed: int) -> BlochQubit:
+    """``count`` Haar-random qubits as one batch, drawn from the stream that
+    ``count`` calls of ``random_bloch`` read: cos(theta), then phi."""
+    draws = np.random.default_rng(seed).uniform([-1.0, 0.0], [1.0, 2.0 * math.pi], size=(count, 2))
+    # math.acos as in random_bloch; np.arccos can differ in the last bit
+    theta = np.array([math.acos(x) for x in draws[:, 0].tolist()])
+    phi = draws[:, 1]
+    phi[phi >= 2.0 * math.pi] = 0.0  # guard the half-open interval
+    return BlochQubit(theta, phi)
 
 
-def _haar_qubits(count: int, seed: int) -> list[BlochQubit]:
-    rng = np.random.default_rng(seed)
-    return [random_bloch(rng) for _ in range(count)]
+def _haar_kets(m: int, count: int, seed: int) -> StateVector:
+    """``count`` Haar-random m-dimensional kets as one batch, drawn from the
+    stream that ``count`` calls of ``haar_random_ket(m, rng)`` read."""
+    g = np.random.default_rng(seed).standard_normal((count, 2, m))
+    z = g[:, 0] + 1j * g[:, 1]
+    return StateVector(SubsystemLayout((m,)), z / np.linalg.norm(z, axis=-1, keepdims=True))
+
+
+def _chunks(kets: StateVector, joint_dim: int) -> list[StateVector]:
+    """Split a batch of inputs so that no batch of their joint states, of
+    ``joint_dim`` amplitudes each, holds more than _BATCH_AMPS."""
+    size = max(1, _BATCH_AMPS // joint_dim)
+    return [StateVector(kets.layout, kets.amps[k:k + size]) for k in range(0, len(kets.amps), size)]
 
 
 def criterion_network_uqcm() -> CriterionResult:
     """Single-copy cloning through the gate network: the clone marginals fit
     the scaled form with s = 2/3 and every input is copied with fidelity
     5/6."""
-    s_vals, residuals, fids = [], [], []
-    for q in _haar_qubits(100, seed=11):
-        psi = clone_via_network(q, 1)
-        ket = bloch_ket(q)
-        ideal = outer(ket)
-        for wire in (0, 1):
-            marg = reduced_density(psi, [wire])
-            fit = analysis.extract_scaling_factor(marg, ideal)
-            s_vals.append(fit.s)
-            residuals.append(fit.residual)
-            fids.append(pure_fidelity(ket, marg))
+    q = _haar_qubits(100, seed=11)
+    psi = clone_via_network(q, 1)
+    ket = bloch_ket(q)
+    ideal = outer(ket)
+    margs = [reduced_density(psi, [wire]) for wire in (0, 1)]
+    fits = [analysis.extract_scaling_factor(marg, ideal) for marg in margs]
+    # one row per input, one column per clone
+    s_vals = np.stack([fit.s for fit in fits], axis=1)
+    residuals = np.stack([fit.residual for fit in fits], axis=1)
+    fids = np.stack([pure_fidelity(ket, marg) for marg in margs], axis=1)
     rows = (
         CheckRow("scaling factor s, both clones, 100 Haar inputs", 2.0 / 3.0, _worst(s_vals, 2 / 3), 1e-10),
-        CheckRow("scaled-form residual (max norm)", 0.0, max(residuals), 1e-10),
+        CheckRow("scaled-form residual (max norm)", 0.0, float(residuals.max()), 1e-10),
         CheckRow("per-input clone fidelity", 5.0 / 6.0, _worst(fids, 5 / 6), 1e-10),
     )
     return CriterionResult(1, "1->2 network: scaling 2/3, fidelity 5/6", rows)
@@ -128,12 +147,11 @@ def criterion_network_equals_map() -> CriterionResult:
     direct 1-to-(n+1) cloning isometry, up to global phase."""
     rows = []
     for n in range(1, 6):
-        overlaps = []
-        for q in _haar_qubits(20, seed=100 + n):
-            net = clone_via_network(q, n).amps
-            direct = gisin_massar_map(q, n).joint.amps
-            overlaps.append(float(abs(np.vdot(net, direct))))
-        rows.append(CheckRow(f"min overlap |<network|map>|, n={n}", 1.0, min(overlaps), 1e-10))
+        q = _haar_qubits(20, seed=100 + n)
+        net = clone_via_network(q, n).amps
+        direct = gisin_massar_map(q, n).joint.amps
+        overlaps = np.abs((net.conj()[:, None, :] @ direct[:, :, None])[:, 0, 0])
+        rows.append(CheckRow(f"min overlap |<network|map>|, n={n}", 1.0, float(overlaps.min()), 1e-10))
     return CriterionResult(3, "network output equals direct cloning map", tuple(rows))
 
 
@@ -143,15 +161,14 @@ def criterion_scaling_factor() -> CriterionResult:
     rows = []
     spread = 0.0
     for n in range(1, 7):
-        s_vals = []
-        for q in _haar_qubits(5, seed=200 + n):
-            out = gisin_massar_map(q, n)
-            ideal = outer(bloch_ket(q))
-            margs = [out.clone_marginal(i) for i in range(n + 1)]
-            s_vals.extend(analysis.extract_scaling_factor(m, ideal).s for m in margs)
-            for i in range(len(margs)):
-                for j in range(i + 1, len(margs)):
-                    spread = max(spread, float(np.abs(margs[i].mat - margs[j].mat).max()))
+        q = _haar_qubits(5, seed=200 + n)
+        out = gisin_massar_map(q, n)
+        ideal = outer(bloch_ket(q))
+        margs = [out.clone_marginal(i) for i in range(n + 1)]
+        s_vals = np.stack([analysis.extract_scaling_factor(m, ideal).s for m in margs], axis=1)
+        for i in range(len(margs)):
+            for j in range(i + 1, len(margs)):
+                spread = max(spread, float(np.abs(margs[i].mat - margs[j].mat).max()))
         ref = analysis.scaling_factor_formula(n)
         rows.append(CheckRow(f"scaling factor, n={n}", ref, _worst(s_vals, ref), 1e-10))
     rows.append(CheckRow("max pairwise clone-marginal deviation", 0.0, spread, 1e-10))
@@ -163,11 +180,9 @@ def criterion_idle_law() -> CriterionResult:
     whatever is being cloned."""
     rows = []
     for n in range(1, 6):
-        devs = [
-            analysis.idle_qubit_check(gisin_massar_map(q, n), q)
-            for q in _haar_qubits(5, seed=300 + n)
-        ]
-        rows.append(CheckRow(f"max idle-qubit deviation, n={n}", 0.0, max(devs), 1e-10))
+        q = _haar_qubits(5, seed=300 + n)
+        devs = analysis.idle_qubit_check(gisin_massar_map(q, n), q)
+        rows.append(CheckRow(f"max idle-qubit deviation, n={n}", 0.0, float(devs.max()), 1e-10))
     return CriterionResult(5, "idle-qubit marginal law", tuple(rows))
 
 
@@ -179,12 +194,8 @@ def criterion_pt_spectra() -> CriterionResult:
     min_eig_rest = np.inf
     for n in range(1, 7):
         formula = analysis.pt_spectrum_formula(n)
-        spectra = []
-        for q in _haar_qubits(20, seed=400 + n):
-            out = gisin_massar_map(q, n)
-            w = hermitian_eigenvalues(partial_transpose(out.pair_marginal(0, 1), 1))
-            spectra.append(w)
-        spectra = np.array(spectra)
+        out = gisin_massar_map(_haar_qubits(20, seed=400 + n), n)
+        spectra = hermitian_eigenvalues(partial_transpose(out.pair_marginal(0, 1), 1))
         dev = float(np.abs(spectra - formula).max())
         input_spread = float(spectra.std(axis=0).max())
         rows.append(CheckRow(f"PT spectrum vs formula, n={n}", 0.0, dev, 1e-9))
@@ -203,17 +214,14 @@ def criterion_a1b1_spectrum() -> CriterionResult:
     inputs its PT spectrum is {(1-sqrt(17))/12, 1/6, (1+sqrt(17))/12, 2/3},
     and its smallest PT eigenvalue is negative for every input."""
     frozen = np.sort([(1 - math.sqrt(17)) / 12, 1 / 6, (1 + math.sqrt(17)) / 12, 2 / 3])
-    dev = 0.0
-    for theta in np.linspace(0.05, math.pi - 0.05, 7):
-        w = analysis.rho_a1b1_pt_spectrum(BlochQubit(float(theta), 0.0))
-        dev = max(dev, float(np.abs(w - frozen).max()))
-    worst_min = -np.inf
+    real = np.linspace(0.05, math.pi - 0.05, 7)
+    w = analysis.rho_a1b1_pt_spectrum(BlochQubit(real, np.zeros_like(real)))
+    dev = float(np.abs(w - frozen).max())
+    # the 20 x 20 grid, theta-major
     thetas = np.linspace(math.pi / 40, math.pi * 39 / 40, 20)
     phis = np.linspace(0.0, 2 * math.pi, 20, endpoint=False)
-    for theta in thetas:
-        for phi in phis:
-            w = analysis.rho_a1b1_pt_spectrum(BlochQubit(float(theta), float(phi)))
-            worst_min = max(worst_min, float(w[0]))
+    w = analysis.rho_a1b1_pt_spectrum(BlochQubit(np.repeat(thetas, 20), np.tile(phis, 20)))
+    worst_min = float(w[:, 0].max())
     rows = (
         CheckRow("PT spectrum vs frozen values (real inputs)", 0.0, dev, 1e-9),
         CheckRow("largest min-PT-eigenvalue over 20x20 grid", 0.0, worst_min, 0.0, mode="le"),
@@ -228,12 +236,9 @@ def criterion_copier_purity() -> CriterionResult:
     min_margin = np.inf
     for n in range(1, 7):
         ref = analysis.purity_xi(n)
-        vals = [
-            analysis.purity_xi_simulated(gisin_massar_map(q, n))
-            for q in _haar_qubits(3, seed=500 + n)
-        ]
+        vals = analysis.purity_xi_simulated(gisin_massar_map(_haar_qubits(3, seed=500 + n), n))
         rows.append(CheckRow(f"copier purity, n={n}", ref, _worst(vals, ref), 1e-10))
-        min_margin = min(min_margin, min(vals) - 1.0 / (n + 1))
+        min_margin = min(min_margin, float(vals.min()) - 1.0 / (n + 1))
     rows.append(CheckRow("purity above 1/(n+1) floor", 0.0, float(min_margin), 0.0, mode="ge"))
     return CriterionResult(8, "copier purity law", tuple(rows))
 
@@ -267,11 +272,10 @@ def criterion_mdim() -> CriterionResult:
     rows.append(CheckRow("clone/copier entropies vs formulas (max dev)", 0.0, ent_dev, 1e-9))
     rows.append(CheckRow("copier marginal vs closed form (max dev)", 0.0, copier_dev, 1e-9))
     # m = 2 must be the qubit cloner itself, joint state and all
-    amp_dev = 0.0
-    for q in _haar_qubits(10, seed=660):
-        a = mdim_clone(bloch_ket(q)).joint.amps
-        b = uqcm_map(q).joint.amps
-        amp_dev = max(amp_dev, float(np.abs(a - b).max()))
+    q = _haar_qubits(10, seed=660)
+    a = mdim_clone(bloch_ket(q)).joint.amps
+    b = uqcm_map(q).joint.amps
+    amp_dev = float(np.abs(a - b).max())
     rows.append(CheckRow("m=2 joint state equals 1->2 cloner joint", 0.0, amp_dev, 1e-12))
     return CriterionResult(9, "M-dimensional cloner closed forms", tuple(rows))
 
@@ -344,33 +348,24 @@ def criterion_universality() -> CriterionResult:
     def spread(distances: Sequence[float]) -> float:
         return float(np.std(np.asarray(distances)))
 
-    dists = []
-    for q in _haar_qubits(100, seed=700):
-        out = uqcm_map(q)
-        dists.append(bures_distance(out.clone_marginal(0), outer(bloch_ket(q))))
+    q = _haar_qubits(100, seed=700)
+    dists = bures_distance(uqcm_map(q).clone_marginal(0), outer(bloch_ket(q)))
     rows.append(CheckRow("Bures spread, 1->2 cloner", 0.0, spread(dists), 1e-10))
 
     for n in range(1, 6):
-        dists = []
-        for q in _haar_qubits(100, seed=710 + n):
-            out = gisin_massar_map(q, n)
-            dists.append(bures_distance(out.clone_marginal(0), outer(bloch_ket(q))))
+        q = _haar_qubits(100, seed=710 + n)
+        dists = bures_distance(gisin_massar_map(q, n).clone_marginal(0), outer(bloch_ket(q)))
         rows.append(CheckRow(f"Bures spread, n={n}", 0.0, spread(dists), 1e-10))
 
     for m in (2, 3, 4, 8, 16):
-        dists = []
-        rng = np.random.default_rng(730 + m)
-        for _ in range(100):
-            phi = haar_random_ket(m, rng)
-            out = mdim_clone(phi)
-            dists.append(bures_distance(out.clone_marginal(0), outer(phi)))
+        dists = np.concatenate([
+            bures_distance(mdim_clone(phi).clone_marginal(0), outer(phi))
+            for phi in _chunks(_haar_kets(m, 100, seed=730 + m), m**3)
+        ])
         rows.append(CheckRow(f"Bures spread, m={m}", 0.0, spread(dists), 1e-10))
 
-    rng = np.random.default_rng(750)
-    dists = []
-    for _ in range(100):
-        alpha = math.sqrt(rng.uniform(0.0, 1.0))
-        dists.append(bures_distance(register_clone("local", alpha), outer(register_ket(alpha))))
+    alpha = np.sqrt(np.random.default_rng(750).uniform(0.0, 1.0, 100))
+    dists = bures_distance(register_clone("local", alpha), outer(register_ket(alpha)))
     rows.append(
         CheckRow("Bures spread, local register cloner (must exceed 1e-3)", 1e-3, spread(dists), 0.0, mode="ge")
     )

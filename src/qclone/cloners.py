@@ -163,47 +163,63 @@ def mdim_coefficients(m: int) -> MdimCoefficients:
     return MdimCoefficients(m=m, c=c, d=d)
 
 
+@lru_cache(maxsize=None)
+def _mdim_scatter(m: int) -> tuple[SubsystemLayout, np.ndarray, np.ndarray, np.ndarray]:
+    """Joint layout of the M-dimensional cloner and its amplitude scatter:
+    joint amplitude ``target[t]`` is ``weight[t]`` times input amplitude
+    ``source[t]``.  Every joint index is hit at most once."""
+    coeff = mdim_coefficients(m)
+    i, j = np.divmod(np.arange(m * m), m)
+    off = i != j
+    i, j = i[off], j[off]
+    diag = np.arange(m)
+    # c|ii>|X_i>, then d|ij>|X_j> and d|ji>|X_j> for every j != i
+    target = np.concatenate([diag * (m * m + m + 1), i * m * m + j * m + j, j * m * m + i * m + j])
+    source = np.concatenate([diag, i, i])
+    weight = np.concatenate([np.full(m, coeff.c), np.full(2 * i.size, coeff.d)])
+    for a in (target, source, weight):
+        a.flags.writeable = False
+    return SubsystemLayout((m, m, m)), target, source, weight
+
+
 def mdim_clone(phi: StateVector) -> CloneOutput:
     """Universal 1-to-2 cloner in M dimensions on (a_0, a_1, x).
 
     Basis action: |i>|0>|X> goes to c|ii>|X_i> + d sum_{j != i}
     (|ij> + |ji>)|X_j>; general inputs extend linearly.  The copier needs a
-    full M-dimensional system x.
+    full M-dimensional system x.  A batch of K inputs gives the batch of
+    joint outputs.
     """
     if len(phi.layout) != 1:
         raise ValueError("input must be a single m-dimensional system")
     m = phi.dim
-    coeff = mdim_coefficients(m)
+    layout, target, source, weight = _mdim_scatter(m)
     amps = phi.amps
-    out = np.zeros((m, m, m), dtype=np.complex128)
-    for i in range(m):
-        if amps[i] == 0.0:
-            continue
-        out[i, i, i] += coeff.c * amps[i]
-        for j in range(m):
-            if j == i:
-                continue
-            out[i, j, j] += coeff.d * amps[i]
-            out[j, i, j] += coeff.d * amps[i]
-    joint = StateVector(SubsystemLayout((m, m, m)), out.reshape(-1))
-    return CloneOutput(joint=joint, clone_count=2, copier_dims=(m,))
+    out = np.zeros(amps.shape[:-1] + (m**3,), dtype=np.complex128)
+    out[..., target] = weight * amps[..., source]
+    return CloneOutput(joint=StateVector(layout, out), clone_count=2, copier_dims=(m,))
 
 
-def local_register_clone(alpha: float) -> DensityOperator:
+@lru_cache(maxsize=None)
+def _local_register_isometry() -> np.ndarray:
+    """Two independent qubit cloners on the register's two qubits, as one
+    (64, 4) isometry; output wires (a_0, a_1, x_I, b_0, b_1, x_II)."""
+    iso = mdim_clone(StateVector(SubsystemLayout((2,)), np.eye(2))).joint.amps.T
+    both = np.kron(iso, iso)
+    both.flags.writeable = False
+    return both
+
+
+def local_register_clone(alpha) -> DensityOperator:
     """Clone the two-qubit register alpha|00> + beta|11> qubit by qubit.
 
     Each register qubit passes through its own 1-to-2 qubit cloner; the
     output registers pair the first qubit of one copy with the second qubit
     of the other.  Both pairings carry the same state (asserted here), and
-    that common two-qubit density operator is returned.
+    that common two-qubit density operator is returned.  An array of alphas
+    gives the batch of pair states.
     """
-    ket = register_ket(alpha)
-    basis = np.eye(2, dtype=np.complex128)
-    iso = np.zeros((8, 2), dtype=np.complex128)
-    for i in range(2):
-        iso[:, i] = mdim_clone(StateVector(SubsystemLayout((2,)), basis[i])).joint.amps
-    # wires after kron: (a_0, a_1, x_I, b_0, b_1, x_II)
-    joint = np.kron(iso, iso) @ ket.amps
+    joint = register_ket(alpha).amps @ _local_register_isometry().T
     psi = StateVector(SubsystemLayout((2,) * 6), joint)
     pair_ab = reduced_density(psi, [0, 4])  # (a_0, b_1)
     pair_ba = reduced_density(psi, [1, 3])  # (a_1, b_0)
@@ -212,13 +228,14 @@ def local_register_clone(alpha: float) -> DensityOperator:
     return pair_ab
 
 
-def nonlocal_register_clone(alpha: float) -> DensityOperator:
+def nonlocal_register_clone(alpha) -> DensityOperator:
     """Clone the register alpha|00> + beta|11> as one four-dimensional system.
 
     The four-dimensional cloner acts on the register as a whole, so each of
     its two output copies is itself a complete two-qubit register.  Both
     copies carry the same state (asserted here); the first one is returned
-    with its four levels read as qubit pairs |00>, |01>, |10>, |11>.
+    with its four levels read as qubit pairs |00>, |01>, |10>, |11>.  An
+    array of alphas gives the batch of register states.
     """
     # the four levels are the register basis |00>, |01>, |10>, |11>
     out = mdim_clone(StateVector(SubsystemLayout((4,)), register_ket(alpha).amps))
@@ -231,8 +248,9 @@ def nonlocal_register_clone(alpha: float) -> DensityOperator:
     return copy_a
 
 
-def register_clone(method: str, alpha: float) -> DensityOperator:
-    """Cloned register pairing by method name, ``local`` or ``nonlocal``."""
+def register_clone(method: str, alpha) -> DensityOperator:
+    """Cloned register pairing by method name, ``local`` or ``nonlocal``;
+    an array of alphas gives the batch."""
     if method == "local":
         return local_register_clone(alpha)
     if method == "nonlocal":

@@ -154,13 +154,13 @@ class DensityOperator:
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """Plain Hermitian matrix (partial transposes land here: trace 1, but
-    possibly with negative eigenvalues)."""
+    possibly with negative eigenvalues); a (K, d, d) array is a batch."""
 
     mat: np.ndarray
 
     def __post_init__(self):
         mat = np.array(self.mat, dtype=np.complex128, copy=True)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or mat.shape[0] == 0:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
         _check_hermitian(mat)
         object.__setattr__(self, "mat", _freeze(mat))
@@ -182,8 +182,9 @@ def tensor(a, b):
 
 
 def outer(psi: StateVector) -> DensityOperator:
-    """Rank-one projector |psi><psi| as a density operator."""
-    return DensityOperator(psi.layout, np.outer(psi.amps, psi.amps.conj()))
+    """Rank-one projector |psi><psi| as a density operator; a batch of
+    states gives the batch of projectors."""
+    return DensityOperator(psi.layout, psi.amps[..., :, None] * psi.amps[..., None, :].conj())
 
 
 def _check_subsystems(layout: SubsystemLayout, subs: Sequence[int], what: str) -> None:
@@ -230,14 +231,15 @@ def reduced_density(psi: StateVector, keep: Sequence[int]) -> DensityOperator:
     _check_subsystems(psi.layout, keep, "reduced_density")
     dims = psi.layout.dims
     lead = psi.amps.shape[:-1]  # () for one state, (K,) for a batch
+    batch = math.prod(lead)
     rest = [j for j in range(len(dims)) if j not in keep]
     axes = list(range(len(lead))) + [len(lead) + j for j in keep + rest]
     a = psi.amps.reshape(lead + dims).transpose(axes)
     dkeep = math.prod(dims[j] for j in keep)
     a = a.reshape(lead + (dkeep, -1))
     # summing over column blocks keeps each conjugate copy small; a state
-    # that fits in one block is still reduced by a single product
-    step = max(1, _MARGINAL_BLOCK // dkeep)
+    # (or batch) that fits in one block is still reduced by a single product
+    step = max(1, _MARGINAL_BLOCK // (dkeep * batch))
     b = a[..., :step]
     red = b @ b.conj().swapaxes(-1, -2)
     for j in range(step, a.shape[-1], step):
@@ -246,19 +248,16 @@ def reduced_density(psi: StateVector, keep: Sequence[int]) -> DensityOperator:
     return DensityOperator(SubsystemLayout(tuple(dims[j] for j in keep)), red)
 
 
-def _partial_transpose_mat(mat: np.ndarray, dims: Sequence[int], sub: int) -> np.ndarray:
-    k = len(dims)
-    t = mat.reshape(tuple(dims) + tuple(dims))
-    t = t.swapaxes(sub, sub + k)
-    d = math.prod(dims)
-    return t.reshape(d, d)
-
-
 def partial_transpose(rho: DensityOperator, sub: int) -> HermitianMatrix:
     """Transpose one subsystem only; an involution that preserves the trace
-    but not positivity."""
+    but not positivity.  A batch of operators gives the batch of their
+    partial transposes."""
     _check_subsystems(rho.layout, [sub], "partial_transpose")
-    return HermitianMatrix(_partial_transpose_mat(rho.mat, rho.layout.dims, sub))
+    dims = rho.layout.dims
+    lead = rho.mat.shape[:-2]
+    t = rho.mat.reshape(lead + dims + dims)
+    t = t.swapaxes(len(lead) + sub, len(lead) + sub + len(dims))
+    return HermitianMatrix(t.reshape(rho.mat.shape))
 
 
 def _reject_batch(*arrays: np.ndarray, core: int) -> None:
@@ -275,7 +274,8 @@ def _as_matrix(h) -> np.ndarray:
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix.
+    """Ascending real eigenvalues of a Hermitian matrix, or the (K, d) stack
+    of them for a batch.
 
     Accepts a HermitianMatrix, a DensityOperator or a plain array; a plain
     array is validated as a HermitianMatrix (finite, square, Hermitian within
@@ -315,34 +315,42 @@ def pure_fidelity(psi: StateVector, rho: DensityOperator):
 
 
 def _clipped_sqrt(w: np.ndarray) -> np.ndarray:
-    """Square roots of nominally nonnegative eigenvalues.
+    """Square roots of nominally nonnegative eigenvalues, one spectrum per
+    last-axis row.
 
-    Eigenvalues below 1e-13 of the largest are indistinguishable from exact
-    zeros at solver precision, and their square roots would otherwise inject
-    O(1e-8) of noise per mode, so they clamp to zero.
+    Eigenvalues below 1e-13 of the largest in their own spectrum are
+    indistinguishable from exact zeros at solver precision, and their square
+    roots would otherwise inject O(1e-8) of noise per mode, so they clamp to
+    zero.  The cut is never pooled over a batch.
     """
-    cut = 1e-13 * max(float(w.max(initial=0.0)), 0.0)
+    cut = 1e-13 * w.max(axis=-1, initial=0.0, keepdims=True)
     return np.sqrt(np.where(w > cut, w, 0.0))
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Matrix square root of a positive-semidefinite Hermitian matrix."""
+    """Matrix square root of a positive-semidefinite Hermitian matrix, or of
+    each matrix of a stack."""
     w, v = np.linalg.eigh(mat)
-    return (v * _clipped_sqrt(w)) @ v.conj().T
+    return (v * _clipped_sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def sqrt_fidelity(rho1: DensityOperator, rho2: DensityOperator) -> float:
+def sqrt_fidelity(rho1: DensityOperator, rho2: DensityOperator):
     """Root fidelity Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), symmetric in its
-    arguments and equal to sqrt(<psi|rho1|psi>) when rho2 = |psi><psi|."""
-    if rho1.mat.shape != rho2.mat.shape:
+    arguments and equal to sqrt(<psi|rho1|psi>) when rho2 = |psi><psi|.
+
+    A float for two operators; for a batch of either or both, the array of
+    the elementwise root fidelities, pairing like :func:`pure_fidelity`.
+    """
+    if rho1.mat.shape[-1] != rho2.mat.shape[-1]:
         raise ValueError("density operators have mismatched dimensions")
-    _reject_batch(rho1.mat, core=2)
     s = _psd_sqrt(rho1.mat)
     w, _ = np.linalg.eigh(s @ rho2.mat @ s)
-    return float(_clipped_sqrt(w).sum())
+    f = _clipped_sqrt(w).sum(axis=-1)
+    return f if f.ndim else float(f)
 
 
-def bures_distance(rho1: DensityOperator, rho2: DensityOperator) -> float:
-    """Bures distance sqrt(2) * (1 - sqrt_fidelity)^(1/2)."""
-    f = min(sqrt_fidelity(rho1, rho2), 1.0)
-    return float(np.sqrt(2.0 * (1.0 - f)))
+def bures_distance(rho1: DensityOperator, rho2: DensityOperator):
+    """Bures distance sqrt(2) * (1 - sqrt_fidelity)^(1/2), elementwise over
+    a batch like :func:`sqrt_fidelity`."""
+    b = np.sqrt(2.0 * (1.0 - np.minimum(sqrt_fidelity(rho1, rho2), 1.0)))
+    return b if b.ndim else float(b)

@@ -5,6 +5,9 @@ Two gate kinds suffice: a real single-qubit rotation R(theta) taking
 and the two-qubit CNOT.  Wire order for the 1-to-(n+1) cloner is fixed as
 (a_0, a_1..a_n, b_1..b_n): a_0 carries the input, the a wires end up holding
 the clones and the b wires the copier.
+
+A batch of K states, (K, 2**width) amplitudes, runs through a circuit in one
+pass: every gate acts on the wires behind the leading batch axis.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import StateVector, tensor
+from .linalg import StateVector
 from .states import BlochQubit, bloch_ket, prep_state
 
 ROTATION = "rotation"
@@ -25,8 +28,6 @@ CNOT = "cnot"
 PREP_THETA_1 = 0.5 * math.acos(1.0 / math.sqrt(5.0))
 PREP_THETA_2 = 0.5 * math.acos(math.sqrt(5.0) / 3.0)
 PREP_THETA_3 = 0.5 * math.acos(2.0 / math.sqrt(5.0))
-
-CIRCUIT_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -75,36 +76,35 @@ class Circuit:
                     raise ValueError(f"wire {w} out of range for width {self.width}")
 
 
-def _qubit_tensor(psi: StateVector) -> np.ndarray:
+def _qubit_tensor(psi: StateVector) -> tuple[np.ndarray, int]:
+    """The amplitudes with one axis per wire, and the number of leading
+    batch axes (0 or 1) in front of the wire axes."""
     dims = psi.layout.dims
     if any(d != 2 for d in dims):
         raise ValueError(f"gates act on qubit wires only, layout is {dims}")
-    return psi.amps.reshape(dims)
+    lead = psi.amps.shape[:-1]
+    return psi.amps.reshape(lead + dims), len(lead)
 
 
+# Wires are checked once, by GateOp and Circuit; the gates trust them.
 def apply_rotation(psi: StateVector, wire: int, theta: float) -> StateVector:
     """Apply R(theta) on one wire."""
-    t = _qubit_tensor(psi)
-    if not 0 <= wire < t.ndim:
-        raise ValueError(f"wire {wire} out of range")
+    t, lead = _qubit_tensor(psi)
     c, s = math.cos(theta), math.sin(theta)
     r = np.array([[c, -s], [s, c]], dtype=np.complex128)
-    out = np.tensordot(t, r, axes=([wire], [1]))
-    out = np.moveaxis(out, -1, wire)
-    return StateVector(psi.layout, out.reshape(-1))
+    out = np.tensordot(t, r, axes=([lead + wire], [1]))
+    out = np.moveaxis(out, -1, lead + wire)
+    return StateVector(psi.layout, out.reshape(psi.amps.shape))
 
 
 def apply_cnot(psi: StateVector, control: int, target: int) -> StateVector:
     """Apply a CNOT: flip ``target`` on the control = 1 slice."""
-    if control == target:
-        raise ValueError("cnot control and target must differ")
-    t = _qubit_tensor(psi).copy()
-    if not (0 <= control < t.ndim and 0 <= target < t.ndim):
-        raise ValueError("cnot wire out of range")
+    t, lead = _qubit_tensor(psi)
+    t = t.copy()
     one = [slice(None)] * t.ndim
-    one[control] = 1
-    t[tuple(one)] = np.flip(t[tuple(one)], axis=target if target < control else target - 1)
-    return StateVector(psi.layout, t.reshape(-1))
+    one[lead + control] = 1
+    t[tuple(one)] = np.flip(t[tuple(one)], axis=lead + (target if target < control else target - 1))
+    return StateVector(psi.layout, t.reshape(psi.amps.shape))
 
 
 def run_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
@@ -158,10 +158,13 @@ def build_copy_stage(n: int) -> Circuit:
 def clone_via_network(q: BlochQubit, n: int) -> StateVector:
     """Full circuit route: tensor the input qubit with the prepared copier
     state and run the copy stage.  Wires come out as (a_0..a_n, b_1..b_n)
-    with the clones on the a wires."""
+    with the clones on the a wires.  A batched ``q`` runs the whole batch
+    through the circuit at once."""
     if not 1 <= n <= 8:
         raise ValueError(f"clone count is limited to 1 <= n <= 8, got {n}")
-    psi = tensor(bloch_ket(q), prep_state(n))
+    ket, prep = bloch_ket(q), prep_state(n)
+    amps = ket.amps[..., :, None] * prep.amps  # the Kronecker product, per input
+    psi = StateVector(ket.layout.concat(prep.layout), amps.reshape(ket.amps.shape[:-1] + (-1,)))
     return run_circuit(build_copy_stage(n), psi)
 
 

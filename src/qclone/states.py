@@ -89,13 +89,20 @@ def orthogonal_ket(q: BlochQubit) -> StateVector:
     return _qubit_ket(amps[..., 1].conj(), -amps[..., 0].conj())
 
 
-def register_ket(alpha: float) -> StateVector:
+def register_ket(alpha) -> StateVector:
     """Two-qubit register alpha|00> + beta|11> with real amplitudes,
-    beta = sqrt(1 - alpha^2)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    beta = math.sqrt(max(0.0, 1.0 - alpha * alpha))
-    return StateVector(SubsystemLayout((2, 2)), np.array([alpha, 0.0, 0.0, beta]))
+    beta = sqrt(1 - alpha^2).  A 1-D array of alphas gives the (K, 4) batch
+    of registers, every alpha validated."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.ndim > 1:
+        raise ValueError(f"alpha must be a number or a 1-D array, got shape {alpha.shape}")
+    ok = (alpha >= 0.0) & (alpha <= 1.0)
+    if not ok.all():
+        raise ValueError(f"alpha must lie in [0, 1], got {_first_failing(alpha, ok)!r}")
+    amps = np.zeros(alpha.shape + (4,))
+    amps[..., 0] = alpha
+    amps[..., 3] = np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha))
+    return StateVector(SubsystemLayout((2, 2)), amps)
 
 
 @lru_cache(maxsize=None)

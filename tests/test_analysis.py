@@ -25,6 +25,7 @@ from qclone.cloners import (
     gisin_massar_map,
     local_register_clone,
     mdim_clone,
+    mdim_coefficients,
     nonlocal_register_clone,
     uqcm_map,
 )
@@ -262,6 +263,15 @@ class TestMdimForms:
         phi = haar_random_ket(m, 11 * m)
         sim = mdim_clone(phi).copier_marginal()
         np.testing.assert_allclose(sim.mat, mdim_copier_formula(phi).mat, atol=1e-13)
+
+    @pytest.mark.parametrize("m", [2, 3, 16, 64])
+    def test_copier_formula_is_the_coefficient_form(self, m):
+        """(rho^T + I)/(m+1) is the cloner's 2d^2 (rho^T + I), written
+        without the cloner's coefficients."""
+        phi = haar_random_ket(m, 13 * m)
+        dd2 = 2.0 * mdim_coefficients(m).d ** 2
+        old = dd2 * outer(phi).mat.T + dd2 * np.eye(m)
+        np.testing.assert_allclose(mdim_copier_formula(phi).mat, old, rtol=0, atol=1e-15)
 
     def test_scaling_decreases_toward_half(self):
         values = [mdim_formulas(m).scaling for m in range(2, 65)]

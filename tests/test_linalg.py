@@ -239,7 +239,7 @@ def test_batched_marginals_and_fidelities():
 
 def test_single_argument_functions_reject_batches():
     rho = DensityOperator(SubsystemLayout((2,)), np.stack([np.eye(2) / 2] * 3))
-    for fn in (purity, von_neumann_entropy, lambda r: sqrt_fidelity(r, r), lambda r: tensor(r, r)):
+    for fn in (purity, von_neumann_entropy, lambda r: tensor(r, r)):
         with pytest.raises(ValueError):
             fn(rho)
     kets = StateVector(SubsystemLayout((2,)), np.eye(2))
@@ -247,6 +247,47 @@ def test_single_argument_functions_reject_batches():
         tensor(kets, kets)
     with pytest.raises(ValueError):
         StateVector(SubsystemLayout((2,)), np.zeros((0, 2)))
+
+
+def test_batched_root_fidelity_equals_scalar_calls():
+    """Each element of a batched sqrt_fidelity or bures_distance is the
+    scalar call.  The second element has an eigenvalue of 5e-14: above the
+    1e-13 cut of its own spectrum (largest eigenvalue 1/3) but below the cut
+    a pure element (largest eigenvalue 1) would set if the cut were pooled
+    over the batch."""
+    layout = SubsystemLayout((4,))
+    pure = np.zeros((4, 4))
+    pure[0, 0] = 1.0
+    tiny = 5e-14
+    mixed = np.diag([(1 - tiny) / 3] * 3 + [tiny])
+    rho1 = DensityOperator(layout, np.stack([pure, mixed]))
+    rho2 = DensityOperator(layout, np.stack([pure, np.eye(4) / 4]))
+    f, b = sqrt_fidelity(rho1, rho2), bures_distance(rho1, rho2)
+    assert f.shape == b.shape == (2,)
+    for k in range(2):
+        one1, one2 = DensityOperator(layout, rho1.mat[k]), DensityOperator(layout, rho2.mat[k])
+        assert f[k] == sqrt_fidelity(one1, one2)
+        assert b[k] == bures_distance(one1, one2)
+    # sqrt(tiny/4) is kept: it sits far above roundoff in the root fidelity
+    expect = 3 * math.sqrt((1 - tiny) / 12) + math.sqrt(tiny / 4)
+    np.testing.assert_allclose(f[1], expect, rtol=0, atol=1e-12)
+    # a single operator pairs with every element of a batch
+    against_pure = sqrt_fidelity(rho1, DensityOperator(layout, pure))
+    np.testing.assert_allclose(against_pure, [1.0, math.sqrt((1 - tiny) / 3)], rtol=0, atol=1e-12)
+    assert isinstance(sqrt_fidelity(DensityOperator(layout, pure), DensityOperator(layout, mixed)), float)
+
+
+def test_batched_partial_transpose_spectra():
+    amps = np.stack([BELL.amps, np.array([0, 1, 0, 0]), np.array([0.6, 0, 0, 0.8])])
+    rho = outer(StateVector(SubsystemLayout((2, 2)), amps))
+    assert rho.mat.shape == (3, 4, 4)
+    w = hermitian_eigenvalues(partial_transpose(rho, 1))
+    assert w.shape == (3, 4)
+    for k in range(3):
+        one = outer(StateVector(rho.layout, amps[k]))
+        np.testing.assert_array_equal(rho.mat[k], one.mat)
+        np.testing.assert_array_equal(w[k], hermitian_eigenvalues(partial_transpose(one, 1)))
+    np.testing.assert_allclose(w[0], [-0.5, 0.5, 0.5, 0.5], atol=1e-15)
 
 
 def test_ghz_reduction_via_state_vector():

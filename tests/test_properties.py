@@ -14,17 +14,20 @@ from qclone.analysis import (
     register_pair_formula,
     scaling_factor_formula,
 )
-from qclone.cloners import gisin_massar_map, mdim_clone, register_clone, uqcm_map
+from qclone.cloners import gisin_massar_map, mdim_clone, mdim_coefficients, register_clone, uqcm_map
 from qclone.linalg import (
     DensityOperator,
     HermitianMatrix,
     StateVector,
     SubsystemLayout,
+    bures_distance,
     outer,
     partial_trace,
     pure_fidelity,
     reduced_density,
+    sqrt_fidelity,
 )
+from qclone.network import clone_via_network
 from qclone.states import BlochQubit, bloch_ket
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -201,6 +204,97 @@ def test_batched_clones_equal_scalar_clones(n, pairs):
         for i, marg in enumerate(marginals):
             assert np.array_equal(marg.mat[k], one.clone_marginal(i).mat)
         assert fids[k] == pure_fidelity(bloch_ket(qk), one.clone_marginal(0))
+
+
+@PROPERTY
+@given(st.integers(1, 4), angle_batches)
+@example(1, [(0.0, 0.0), (math.pi, 1.0)])
+def test_batched_network_equals_scalar_calls(n, pairs):
+    """Every element of a batch run through the gate network is the scalar
+    run, bit for bit."""
+    out = clone_via_network(batched(pairs), n).amps
+    assert out.shape == (len(pairs), 2 ** (2 * n + 1))
+    for k, (theta, phi) in enumerate(pairs):
+        assert np.array_equal(out[k], clone_via_network(BlochQubit(theta, phi), n).amps)
+
+
+def mdim_loop(amps: np.ndarray) -> np.ndarray:
+    """The M-dimensional cloner written out from its basis action, one
+    input at a time: |i> goes to c|ii>|X_i> + d sum_{j != i}
+    (|ij> + |ji>)|X_j>."""
+    m = amps.size
+    co = mdim_coefficients(m)
+    out = np.zeros((m, m, m), dtype=np.complex128)
+    for i in range(m):
+        out[i, i, i] += co.c * amps[i]
+        for j in range(m):
+            if j != i:
+                out[i, j, j] += co.d * amps[i]
+                out[j, i, j] += co.d * amps[i]
+    return out.reshape(-1)
+
+
+@st.composite
+def ket_batches(draw, m):
+    """(K, m) array of normalized kets, K in 1..8; some rows are basis
+    states, whose exact zero amplitudes the cloner must keep zero."""
+    k = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    for row in draw(st.lists(st.integers(0, k - 1), max_size=k)):
+        z[row] = np.eye(m)[draw(st.integers(0, m - 1))]
+    return z
+
+
+@PROPERTY
+@given(st.integers(2, 16).flatmap(ket_batches))
+def test_batched_mdim_clone_equals_scalar_calls(amps):
+    """Every element of a batched mdim_clone is the scalar call and the
+    basis-action loop, bit for bit."""
+    layout = SubsystemLayout((amps.shape[1],))
+    out = mdim_clone(StateVector(layout, amps)).joint.amps
+    assert out.shape == (amps.shape[0], amps.shape[1] ** 3)
+    for k, row in enumerate(amps):
+        assert np.array_equal(out[k], mdim_clone(StateVector(layout, row)).joint.amps)
+        assert np.array_equal(out[k], mdim_loop(row))
+
+
+@PROPERTY
+@given(st.sampled_from(["local", "nonlocal"]), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+@example("local", [0.0, 1.0])
+@example("nonlocal", [1.0, math.sqrt(0.5), 0.0])
+def test_batched_register_clones_equal_scalar_calls(method, alphas):
+    got = register_clone(method, np.array(alphas)).mat
+    assert got.shape == (len(alphas), 4, 4)
+    for k, alpha in enumerate(alphas):
+        assert np.array_equal(got[k], register_clone(method, alpha).mat)
+
+
+@st.composite
+def density_pairs(draw):
+    """Two (K, d, d) stacks of density operators, K in 1..6, d in 2..6; each
+    element is either a drawn full-rank operator or a pure projector."""
+    k, d = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+
+    def element():
+        if draw(st.booleans()):
+            return draw(densities(d))
+        return outer(draw(states((d,)))).mat
+
+    return tuple(np.stack([element() for _ in range(k)]) for _ in range(2))
+
+
+@PROPERTY
+@given(density_pairs())
+def test_batched_root_fidelity_equals_scalar_calls(pair):
+    layout = SubsystemLayout((pair[0].shape[-1],))
+    rho1, rho2 = (DensityOperator(layout, mats) for mats in pair)
+    f, b = sqrt_fidelity(rho1, rho2), bures_distance(rho1, rho2)
+    for k in range(len(pair[0])):
+        one1, one2 = DensityOperator(layout, pair[0][k]), DensityOperator(layout, pair[1][k])
+        assert f[k] == sqrt_fidelity(one1, one2)
+        assert b[k] == bures_distance(one1, one2)
 
 
 @st.composite
