@@ -20,6 +20,7 @@ from .linalg import (
     StateVector,
     SubsystemLayout,
     TOL_SPECTRAL,
+    _inner,
     hermitian_eigenvalues,
     outer,
     partial_transpose,
@@ -46,14 +47,6 @@ class ScalingFit:
         return self.residual <= SCALED_FORM_TOL
 
 
-def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re Tr(a^dagger b) of each pair of matrices in two stacks, as one
-    row-times-column product per pair (the sum ``np.vdot`` takes)."""
-    rows = a.conj().reshape(a.shape[:-2] + (1, -1))
-    cols = b.reshape(b.shape[:-2] + (-1, 1))
-    return (rows @ cols)[..., 0, 0].real
-
-
 def extract_scaling_factor(rho_out: DensityOperator, rho_id: DensityOperator) -> ScalingFit:
     """Best-fit scaling factor of an output against its ideal state, plus
     the max-norm residual of the fit.  Batches pair elementwise, and a
@@ -64,10 +57,12 @@ def extract_scaling_factor(rho_out: DensityOperator, rho_id: DensityOperator) ->
     eye = np.eye(d) / d
     direction = rho_id.mat - eye
     target = rho_out.mat - eye
-    denom = _real_inner(direction, direction)
+    # Re Tr(a^dagger b) of each pair as the inner product of flattened matrices
+    flat_dir = direction.reshape(direction.shape[:-2] + (-1,))
+    denom = _inner(flat_dir, flat_dir).real
     if (denom < 1e-30).any():
         raise ValueError("ideal state is maximally mixed; scaling factor is undefined")
-    s = _real_inner(direction, target) / denom
+    s = _inner(flat_dir, target.reshape(target.shape[:-2] + (-1,))).real / denom
     residual = np.abs(target - s[..., None, None] * direction).max(axis=(-2, -1))
     if s.ndim:
         return ScalingFit(s=s, residual=residual)

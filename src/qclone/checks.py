@@ -21,6 +21,7 @@ from .cloners import gisin_massar_map, mdim_clone, register_clone, uqcm_map
 from .linalg import (
     StateVector,
     SubsystemLayout,
+    _inner,
     _worst,
     bures_distance,
     hermitian_eigenvalues,
@@ -31,7 +32,7 @@ from .linalg import (
     von_neumann_entropy,
 )
 from .network import build_prep_circuit_1, clone_via_network, run_circuit
-from .states import BlochQubit, bloch_ket, haar_random_ket, register_ket
+from .states import BlochQubit, bloch_ket, haar_random_ket, random_bloch, register_ket
 
 #: Most amplitudes one batched joint state may hold: the size of the single
 #: m = 64 joint state criterion 9 builds.
@@ -79,25 +80,6 @@ class CriterionResult:
         return all(r.ok for r in self.rows)
 
 
-def _haar_qubits(count: int, seed: int) -> BlochQubit:
-    """``count`` Haar-random qubits as one batch, drawn from the stream that
-    ``count`` calls of ``random_bloch`` read: cos(theta), then phi."""
-    draws = np.random.default_rng(seed).uniform([-1.0, 0.0], [1.0, 2.0 * math.pi], size=(count, 2))
-    # math.acos as in random_bloch; np.arccos can differ in the last bit
-    theta = np.array([math.acos(x) for x in draws[:, 0].tolist()])
-    phi = draws[:, 1]
-    phi[phi >= 2.0 * math.pi] = 0.0  # guard the half-open interval
-    return BlochQubit(theta, phi)
-
-
-def _haar_kets(m: int, count: int, seed: int) -> StateVector:
-    """``count`` Haar-random m-dimensional kets as one batch, drawn from the
-    stream that ``count`` calls of ``haar_random_ket(m, rng)`` read."""
-    g = np.random.default_rng(seed).standard_normal((count, 2, m))
-    z = g[:, 0] + 1j * g[:, 1]
-    return StateVector(SubsystemLayout((m,)), z / np.linalg.norm(z, axis=-1, keepdims=True))
-
-
 def _chunks(kets: StateVector, joint_dim: int) -> list[StateVector]:
     """Split a batch of inputs so that no batch of their joint states, of
     ``joint_dim`` amplitudes each, holds more than _BATCH_AMPS."""
@@ -109,7 +91,7 @@ def criterion_network_uqcm() -> CriterionResult:
     """Single-copy cloning through the gate network: the clone marginals fit
     the scaled form with s = 2/3 and every input is copied with fidelity
     5/6."""
-    q = _haar_qubits(100, seed=11)
+    q = random_bloch(11, count=100)
     psi = clone_via_network(q, 1)
     ket = bloch_ket(q)
     ideal = outer(ket)
@@ -147,10 +129,10 @@ def criterion_network_equals_map() -> CriterionResult:
     direct 1-to-(n+1) cloning isometry, up to global phase."""
     rows = []
     for n in range(1, 6):
-        q = _haar_qubits(20, seed=100 + n)
+        q = random_bloch(100 + n, count=20)
         net = clone_via_network(q, n).amps
         direct = gisin_massar_map(q, n).joint.amps
-        overlaps = np.abs((net.conj()[:, None, :] @ direct[:, :, None])[:, 0, 0])
+        overlaps = np.abs(_inner(net, direct))
         rows.append(CheckRow(f"min overlap |<network|map>|, n={n}", 1.0, float(overlaps.min()), 1e-10))
     return CriterionResult(3, "network output equals direct cloning map", tuple(rows))
 
@@ -161,7 +143,7 @@ def criterion_scaling_factor() -> CriterionResult:
     rows = []
     spread = 0.0
     for n in range(1, 7):
-        q = _haar_qubits(5, seed=200 + n)
+        q = random_bloch(200 + n, count=5)
         out = gisin_massar_map(q, n)
         ideal = outer(bloch_ket(q))
         margs = [out.clone_marginal(i) for i in range(n + 1)]
@@ -180,7 +162,7 @@ def criterion_idle_law() -> CriterionResult:
     whatever is being cloned."""
     rows = []
     for n in range(1, 6):
-        q = _haar_qubits(5, seed=300 + n)
+        q = random_bloch(300 + n, count=5)
         devs = analysis.idle_qubit_check(gisin_massar_map(q, n), q)
         rows.append(CheckRow(f"max idle-qubit deviation, n={n}", 0.0, float(devs.max()), 1e-10))
     return CriterionResult(5, "idle-qubit marginal law", tuple(rows))
@@ -194,7 +176,7 @@ def criterion_pt_spectra() -> CriterionResult:
     min_eig_rest = np.inf
     for n in range(1, 7):
         formula = analysis.pt_spectrum_formula(n)
-        out = gisin_massar_map(_haar_qubits(20, seed=400 + n), n)
+        out = gisin_massar_map(random_bloch(400 + n, count=20), n)
         spectra = hermitian_eigenvalues(partial_transpose(out.pair_marginal(0, 1), 1))
         dev = float(np.abs(spectra - formula).max())
         input_spread = float(spectra.std(axis=0).max())
@@ -236,7 +218,7 @@ def criterion_copier_purity() -> CriterionResult:
     min_margin = np.inf
     for n in range(1, 7):
         ref = analysis.purity_xi(n)
-        vals = analysis.purity_xi_simulated(gisin_massar_map(_haar_qubits(3, seed=500 + n), n))
+        vals = analysis.purity_xi_simulated(gisin_massar_map(random_bloch(500 + n, count=3), n))
         rows.append(CheckRow(f"copier purity, n={n}", ref, _worst(vals, ref), 1e-10))
         min_margin = min(min_margin, float(vals.min()) - 1.0 / (n + 1))
     rows.append(CheckRow("purity above 1/(n+1) floor", 0.0, float(min_margin), 0.0, mode="ge"))
@@ -272,7 +254,7 @@ def criterion_mdim() -> CriterionResult:
     rows.append(CheckRow("clone/copier entropies vs formulas (max dev)", 0.0, ent_dev, 1e-9))
     rows.append(CheckRow("copier marginal vs closed form (max dev)", 0.0, copier_dev, 1e-9))
     # m = 2 must be the qubit cloner itself, joint state and all
-    q = _haar_qubits(10, seed=660)
+    q = random_bloch(660, count=10)
     a = mdim_clone(bloch_ket(q)).joint.amps
     b = uqcm_map(q).joint.amps
     amp_dev = float(np.abs(a - b).max())
@@ -348,19 +330,19 @@ def criterion_universality() -> CriterionResult:
     def spread(distances: Sequence[float]) -> float:
         return float(np.std(np.asarray(distances)))
 
-    q = _haar_qubits(100, seed=700)
+    q = random_bloch(700, count=100)
     dists = bures_distance(uqcm_map(q).clone_marginal(0), outer(bloch_ket(q)))
     rows.append(CheckRow("Bures spread, 1->2 cloner", 0.0, spread(dists), 1e-10))
 
     for n in range(1, 6):
-        q = _haar_qubits(100, seed=710 + n)
+        q = random_bloch(710 + n, count=100)
         dists = bures_distance(gisin_massar_map(q, n).clone_marginal(0), outer(bloch_ket(q)))
         rows.append(CheckRow(f"Bures spread, n={n}", 0.0, spread(dists), 1e-10))
 
     for m in (2, 3, 4, 8, 16):
         dists = np.concatenate([
             bures_distance(mdim_clone(phi).clone_marginal(0), outer(phi))
-            for phi in _chunks(_haar_kets(m, 100, seed=730 + m), m**3)
+            for phi in _chunks(haar_random_ket(m, 730 + m, count=100), m**3)
         ])
         rows.append(CheckRow(f"Bures spread, m={m}", 0.0, spread(dists), 1e-10))
 

@@ -52,6 +52,12 @@ def _worst(values: np.ndarray, ref: float) -> complex:
     return values[np.argmax(np.abs(values - ref))].item()
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a|b> of each pair of last-axis vectors in two broadcast stacks, as
+    one row-times-column product per pair (the sum ``np.vdot`` takes)."""
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class SubsystemLayout:
     """Ordered subsystem dimensions of a tensor-product space."""
@@ -309,8 +315,7 @@ def pure_fidelity(psi: StateVector, rho: DensityOperator):
     operators, or of both, the array of the elementwise fidelities (a single
     state or operator pairs with every element of the other batch).
     """
-    ket = psi.amps[..., :, None]
-    f = (ket.conj().swapaxes(-1, -2) @ (rho.mat @ ket))[..., 0, 0].real
+    f = _inner(psi.amps, (rho.mat @ psi.amps[..., :, None])[..., 0]).real
     return f if f.ndim else float(f)
 
 

@@ -163,7 +163,8 @@ def clone_via_network(q: BlochQubit, n: int) -> StateVector:
     if not 1 <= n <= 8:
         raise ValueError(f"clone count is limited to 1 <= n <= 8, got {n}")
     ket, prep = bloch_ket(q), prep_state(n)
-    amps = ket.amps[..., :, None] * prep.amps  # the Kronecker product, per input
+    # linalg.tensor(ket, prep) for each input; tensor itself takes no batch
+    amps = ket.amps[..., :, None] * prep.amps
     psi = StateVector(ket.layout.concat(prep.layout), amps.reshape(ket.amps.shape[:-1] + (-1,)))
     return run_circuit(build_copy_stage(n), psi)
 

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DensityOperator, StateVector, SubsystemLayout
+from .linalg import DensityOperator, StateVector, SubsystemLayout, _inner
 
 
 @dataclass(frozen=True)
@@ -164,22 +164,30 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def haar_random_ket(dim: int, seed) -> StateVector:
+def haar_random_ket(dim: int, seed, count: int | None = None) -> StateVector:
     """Haar-distributed pure state: a normalized standard complex Gaussian
-    vector.  ``seed`` is an int (deterministic) or a Generator (streamed)."""
+    vector.  ``seed`` is an int (deterministic) or a Generator (streamed).
+    With ``count``, the (count, dim) batch that ``count`` streamed calls
+    draw, each row equal to the ket its call returns."""
     if dim < 2:
         raise ValueError(f"need dim >= 2, got {dim}")
-    rng = _as_rng(seed)
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(SubsystemLayout((dim,)), z / np.linalg.norm(z))
+    g = _as_rng(seed).standard_normal((1 if count is None else count, 2, dim))
+    z = g[:, 0] + 1j * g[:, 1]  # per ket: dim real parts, then dim imaginary parts
+    # the sum np.linalg.norm takes for one vector, so no row depends on the batch
+    norm = np.sqrt(_inner(z.real, z.real) + _inner(z.imag, z.imag))
+    amps = z / norm[:, None]
+    return StateVector(SubsystemLayout((dim,)), amps[0] if count is None else amps)
 
 
-def random_bloch(seed) -> BlochQubit:
+def random_bloch(seed, count: int | None = None) -> BlochQubit:
     """Haar-random qubit as polar angles: cos(theta) uniform on [-1, 1],
-    phi uniform on [0, 2*pi)."""
-    rng = _as_rng(seed)
-    theta = math.acos(rng.uniform(-1.0, 1.0))
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    if phi >= 2.0 * math.pi:  # guard the half-open interval
-        phi = 0.0
-    return BlochQubit(theta, phi)
+    phi uniform on [0, 2*pi).  With ``count``, the batch of the ``count``
+    qubits that as many streamed calls draw."""
+    draws = _as_rng(seed).uniform([-1.0, 0.0], [1.0, 2.0 * math.pi], size=(1 if count is None else count, 2))
+    # math.acos per entry: np.arccos can differ from it in the last bit
+    theta = [math.acos(c) for c in draws[:, 0].tolist()]
+    # guard the half-open interval
+    phi = [0.0 if p >= 2.0 * math.pi else p for p in draws[:, 1].tolist()]
+    if count is None:
+        return BlochQubit(theta[0], phi[0])
+    return BlochQubit(np.array(theta), np.array(phi))

@@ -180,3 +180,40 @@ def test_random_bloch_ranges():
     assert random_bloch(7) == random_bloch(7)
     # not all the same point
     assert len({(q.theta, q.phi) for q in qs}) > 100
+
+
+# (seed, count) of every batched Haar draw the verification suite makes
+SUITE_QUBIT_DRAWS = (
+    [(11, 100), (660, 10), (700, 100)]
+    + [(100 + n, 20) for n in range(1, 6)]
+    + [(200 + n, 5) for n in range(1, 7)]
+    + [(300 + n, 5) for n in range(1, 6)]
+    + [(400 + n, 20) for n in range(1, 7)]
+    + [(500 + n, 3) for n in range(1, 7)]
+    + [(710 + n, 100) for n in range(1, 6)]
+)
+SUITE_KET_DRAWS = [(m, 730 + m, 100) for m in (2, 3, 4, 8, 16)]
+
+
+def test_batched_random_bloch_is_the_streamed_draws():
+    for seed, count in SUITE_QUBIT_DRAWS:
+        batch = random_bloch(seed, count=count)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k in range(count):
+            q = random_bloch(rng)
+            # the draw written out: cos(theta), then phi, per qubit
+            theta = math.acos(ref.uniform(-1.0, 1.0))
+            phi = ref.uniform(0.0, 2.0 * math.pi)
+            assert (batch.theta[k], batch.phi[k]) == (q.theta, q.phi) == (theta, phi), (seed, k)
+
+
+def test_batched_haar_random_ket_is_the_streamed_draws():
+    for m, seed, count in SUITE_KET_DRAWS:
+        batch = haar_random_ket(m, seed, count=count)
+        assert batch.amps.shape == (count, m)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k in range(count):
+            # the draw written out: m real parts, then m imaginary parts
+            z = ref.standard_normal(m) + 1j * ref.standard_normal(m)
+            np.testing.assert_array_equal(batch.amps[k], haar_random_ket(m, rng).amps)
+            np.testing.assert_array_equal(batch.amps[k], z / np.linalg.norm(z))
