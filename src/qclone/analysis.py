@@ -28,7 +28,7 @@ from .linalg import (
     purity,
     reduced_density,
 )
-from .states import BlochQubit, bloch_ket
+from .states import BlochQubit, bloch_ket, register_ket
 
 #: residual threshold for declaring that an output fits the scaled form
 SCALED_FORM_TOL = 1e-9
@@ -107,42 +107,48 @@ def mean_fidelity(
     return float(total)
 
 
-def ppt_separable(rho: DensityOperator) -> tuple[bool, float]:
+def ppt_separable(rho: DensityOperator):
     """Peres-Horodecki test for a two-qubit state, where positivity of the
-    partial transpose is conclusive.  Returns (separable, min eigenvalue)."""
+    partial transpose is conclusive.  Returns (separable, min eigenvalue):
+    a bool and a float for one operator, two arrays for a batch."""
     if rho.layout.dims != (2, 2):
         raise ValueError(f"conclusive only for a (2, 2) layout, got {rho.layout.dims}")
-    w = hermitian_eigenvalues(partial_transpose(rho, 1))
-    return bool(w[0] >= -TOL_SPECTRAL), float(w[0])
+    w = hermitian_eigenvalues(partial_transpose(rho, 1))[..., 0]
+    if w.ndim:
+        return w >= -TOL_SPECTRAL, w
+    return bool(w >= -TOL_SPECTRAL), float(w)
 
 
-def _from_reversed_basis(mat: np.ndarray) -> np.ndarray:
-    # translate a matrix written over |11>,|10>,|01>,|00> into the package
-    # convention |00>,|01>,|10>,|11>
-    return mat[::-1, ::-1]
+def _from_reversed_basis(rows, denom: float, lead: tuple[int, ...]) -> DensityOperator:
+    """Two-qubit operator: a 4 x 4 table written over |11>,|10>,|01>,|00>
+    (the package convention runs |00>,|01>,|10>,|11>), divided by ``denom``.
+    Each entry is a number or a flat array over the batch, which ``lead``
+    shapes (``()`` for one qubit)."""
+    entries = np.broadcast_arrays(*(x for row in rows for x in row))
+    mat = np.stack(entries, axis=-1).reshape(lead + (4, 4)).astype(np.complex128) / denom
+    return DensityOperator(SubsystemLayout((2, 2)), mat[..., ::-1, ::-1])
 
 
 def clone_pair_density_formula(n: int, q: BlochQubit) -> DensityOperator:
-    """Closed-form two-clone density operator of the 1-to-(n+1) cloner."""
+    """Closed-form two-clone density operator of the 1-to-(n+1) cloner; a
+    batched ``q`` gives the batch."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    a, b = bloch_ket(q).amps
+    amps = bloch_ket(q).amps
+    a, b = amps.reshape(-1, 2).T  # arrays even for one qubit: one arithmetic for both
     aa, bb = abs(a) ** 2, abs(b) ** 2
     g = (n + 3.0) / (n + 1.0)
     up = np.conj(a) * b * g  # alpha* beta terms of the upper triangle
     dn = np.conj(up)
     top = ((3 * n + 5) * bb + (n - 1) * aa) / (n + 1.0)
     bot = ((3 * n + 5) * aa + (n - 1) * bb) / (n + 1.0)
-    mat = np.array(
-        [
-            [top, up, up, 0.0],
-            [dn, 1.0, 1.0, up],
-            [dn, 1.0, 1.0, up],
-            [0.0, dn, dn, bot],
-        ],
-        dtype=np.complex128,
-    ) / 6.0
-    return DensityOperator(SubsystemLayout((2, 2)), _from_reversed_basis(mat))
+    rows = [
+        [top, up, up, 0.0],
+        [dn, 1.0, 1.0, up],
+        [dn, 1.0, 1.0, up],
+        [0.0, dn, dn, bot],
+    ]
+    return _from_reversed_basis(rows, 6.0, amps.shape[:-1])
 
 
 def pt_spectrum_formula(n: int) -> np.ndarray:
@@ -156,21 +162,19 @@ def pt_spectrum_formula(n: int) -> np.ndarray:
 
 def rho_a1b1_density_formula(q: BlochQubit) -> DensityOperator:
     """Closed-form clone/copier two-qubit state (a_1, b_1) of the single-copy
-    cloner."""
-    a, b = bloch_ket(q).amps
+    cloner; a batched ``q`` gives the batch."""
+    amps = bloch_ket(q).amps
+    a, b = amps.reshape(-1, 2).T  # arrays even for one qubit: one arithmetic for both
     aa, bb = abs(a) ** 2, abs(b) ** 2
     ab = a * np.conj(b)  # alpha beta*
     ba = np.conj(ab)
-    mat = np.array(
-        [
-            [4 * bb + aa, ab, 2 * ba, 2.0],
-            [ba, bb, 0.0, 2 * ba],
-            [2 * ab, 0.0, aa, ab],
-            [2.0, 2 * ab, ba, 4 * aa + bb],
-        ],
-        dtype=np.complex128,
-    ) / 6.0
-    return DensityOperator(SubsystemLayout((2, 2)), _from_reversed_basis(mat))
+    rows = [
+        [4 * bb + aa, ab, 2 * ba, 2.0],
+        [ba, bb, 0.0, 2 * ba],
+        [2 * ab, 0.0, aa, ab],
+        [2.0, 2 * ab, ba, 4 * aa + bb],
+    ]
+    return _from_reversed_basis(rows, 6.0, amps.shape[:-1])
 
 
 def rho_a1b1_pt_spectrum(q: BlochQubit) -> np.ndarray:
@@ -210,10 +214,7 @@ def purity_xi(n: int) -> float:
 def purity_xi_simulated(out: CloneOutput):
     """Purity of the copier marginal of a simulated cloner output; for a
     batched output, the array of purities."""
-    mats = out.copier_marginal().mat
-    if mats.ndim == 2:
-        return purity(mats)
-    return np.array([purity(m) for m in mats])
+    return purity(out.copier_marginal())
 
 
 @dataclass(frozen=True)
@@ -286,19 +287,20 @@ def inseparability_boundary(method: str, resolution: float = 1e-8) -> Separabili
     return SeparabilityInterval(lower=bisect(0.0, 0.5), upper=bisect(1.0, 0.5))
 
 
-def register_pair_formula(method: str, alpha: float) -> DensityOperator:
+def register_pair_formula(method: str, alpha) -> DensityOperator:
     """Closed-form density operator of a cloned register pair.
 
     Local, over |00>,|01>,|10>,|11>: diagonal ((24 a^2 + 1)/36, 5/36, 5/36,
     (24 b^2 + 1)/36) with 4ab/9 on the |00><11| corner.  Nonlocal: diagonal
     ((6 a^2 + 1)/10, 1/10, 1/10, (6 b^2 + 1)/10) with 3ab/5 on the corner.
-    Amplitudes are real here, so the corner entries are symmetric.
+    Amplitudes are real here, so the corner entries are symmetric.  An
+    array of alphas gives the batch.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    amps = register_ket(alpha).amps.real  # validates alpha
+    alpha = amps[..., 0]
     a2 = alpha * alpha
     b2 = 1.0 - a2
-    corner = alpha * math.sqrt(b2)
+    corner = alpha * amps[..., 3]
     if method == "local":
         diag = [(24 * a2 + 1) / 36.0, 5 / 36.0, 5 / 36.0, (24 * b2 + 1) / 36.0]
         corner *= 4.0 / 9.0
@@ -307,6 +309,8 @@ def register_pair_formula(method: str, alpha: float) -> DensityOperator:
         corner *= 3.0 / 5.0
     else:
         raise ValueError(f"method must be 'local' or 'nonlocal', got {method!r}")
-    mat = np.diag(np.array(diag, dtype=np.complex128))
-    mat[0, 3] = mat[3, 0] = corner
+    mat = np.zeros(alpha.shape + (4, 4), dtype=np.complex128)
+    for i, x in enumerate(diag):
+        mat[..., i, i] = x
+    mat[..., 0, 3] = mat[..., 3, 0] = corner
     return DensityOperator(SubsystemLayout((2, 2)), mat)

@@ -21,6 +21,7 @@ from .cloners import gisin_massar_map, mdim_clone, register_clone, uqcm_map
 from .linalg import (
     StateVector,
     SubsystemLayout,
+    _BATCH_AMPS,
     _inner,
     _worst,
     bures_distance,
@@ -33,10 +34,6 @@ from .linalg import (
 )
 from .network import build_prep_circuit_1, clone_via_network, run_circuit
 from .states import BlochQubit, bloch_ket, haar_random_ket, random_bloch, register_ket
-
-#: Most amplitudes one batched joint state may hold: the size of the single
-#: m = 64 joint state criterion 9 builds.
-_BATCH_AMPS = 2**18
 
 
 @dataclass(frozen=True)
@@ -266,12 +263,11 @@ def criterion_register() -> CriterionResult:
     """Cloned register pairs match their closed-form densities; the
     inseparability intervals land on the analytic boundaries and the
     nonlocal interval strictly contains the local one."""
-    dev = {"local": 0.0, "nonlocal": 0.0}
-    for alpha2 in np.linspace(0.0, 1.0, 20):
-        alpha = math.sqrt(float(alpha2))
-        for method in dev:
-            got = register_clone(method, alpha).mat
-            dev[method] = max(dev[method], float(np.abs(got - analysis.register_pair_formula(method, alpha).mat).max()))
+    alpha = np.sqrt(np.linspace(0.0, 1.0, 20))
+    dev = {
+        method: float(np.abs(register_clone(method, alpha).mat - analysis.register_pair_formula(method, alpha).mat).max())
+        for method in ("local", "nonlocal")
+    }
     local = analysis.inseparability_boundary("local")
     nonloc = analysis.inseparability_boundary("nonlocal")
     lo_ref = 0.5 - math.sqrt(39.0) / 16.0

@@ -16,6 +16,7 @@ import numpy as np
 from . import checks
 from .analysis import fidelity_formula, mdim_formulas, ppt_separable, scaling_factor_formula
 from .cloners import register_clone
+from .linalg import _BATCH_AMPS
 from .network import build_copy_stage, build_prep_circuit_1, circuit_to_text
 from .report import report_gm, report_mdim, report_register, report_uqcm
 from .states import BlochQubit, haar_random_ket, random_bloch
@@ -176,9 +177,13 @@ def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
         if grid[0] < 0.0 or grid[-1] > 1.0:
             parser.error(f"--alpha2 grid must lie in [0, 1], got {args.alpha2!r}")
         rows.append("alpha2,min_pt_eigenvalue,separable")
-        for a2 in grid.tolist():
-            sep, min_eig = ppt_separable(register_clone(args.method, math.sqrt(a2)))
-            rows.append(f"{a2:.12g},{min_eig:.12g},{str(sep).lower()}")
+        # both register cloners build 64-amplitude joint states
+        size = _BATCH_AMPS // 64
+        for k in range(0, len(grid), size):
+            a2 = grid[k:k + size]
+            sep, min_eig = ppt_separable(register_clone(args.method, np.sqrt(a2)))
+            for x, e, ok in zip(a2.tolist(), min_eig.tolist(), sep.tolist()):
+                rows.append(f"{x:.12g},{e:.12g},{str(ok).lower()}")
     else:  # unreachable through argparse choices
         parser.error(f"unknown sweep {args.name!r}")
     _emit("\n".join(rows) + "\n", args.output)

@@ -17,6 +17,7 @@ from .linalg import (
     StateVector,
     SubsystemLayout,
     TOL_CONSTRUCT,
+    _freeze,
     reduced_density,
 )
 from .states import BlochQubit, SymmetricIndex, bloch_ket, register_ket, symmetric_basis_ket
@@ -79,9 +80,7 @@ def _uqcm_columns() -> tuple[np.ndarray, np.ndarray]:
     col1[0b111] = math.sqrt(2.0 / 3.0)
     col1[0b100] = math.sqrt(1.0 / 6.0)
     col1[0b010] = math.sqrt(1.0 / 6.0)
-    col0.flags.writeable = False
-    col1.flags.writeable = False
-    return col0, col1
+    return _freeze(col0), _freeze(col1)
 
 
 def _linear_image(q: BlochQubit, col0: np.ndarray, col1: np.ndarray) -> np.ndarray:
@@ -129,9 +128,7 @@ def _gm_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
         a_k1 = symmetric_basis_ket(SymmetricIndex(n + 1, k + 1)).amps
         col0 += lam[k] * np.kron(a_k, b_part)
         col1 += lam[n - k] * np.kron(a_k1, b_part)
-    col0.flags.writeable = False
-    col1.flags.writeable = False
-    return col0, col1
+    return _freeze(col0), _freeze(col1)
 
 
 def gisin_massar_map(q: BlochQubit, n: int) -> CloneOutput:
@@ -177,9 +174,7 @@ def _mdim_scatter(m: int) -> tuple[SubsystemLayout, np.ndarray, np.ndarray, np.n
     target = np.concatenate([diag * (m * m + m + 1), i * m * m + j * m + j, j * m * m + i * m + j])
     source = np.concatenate([diag, i, i])
     weight = np.concatenate([np.full(m, coeff.c), np.full(2 * i.size, coeff.d)])
-    for a in (target, source, weight):
-        a.flags.writeable = False
-    return SubsystemLayout((m, m, m)), target, source, weight
+    return SubsystemLayout((m, m, m)), _freeze(target), _freeze(source), _freeze(weight)
 
 
 def mdim_clone(phi: StateVector) -> CloneOutput:
@@ -205,9 +200,7 @@ def _local_register_isometry() -> np.ndarray:
     """Two independent qubit cloners on the register's two qubits, as one
     (64, 4) isometry; output wires (a_0, a_1, x_I, b_0, b_1, x_II)."""
     iso = mdim_clone(StateVector(SubsystemLayout((2,)), np.eye(2))).joint.amps.T
-    both = np.kron(iso, iso)
-    both.flags.writeable = False
-    return both
+    return _freeze(np.kron(iso, iso))
 
 
 def local_register_clone(alpha) -> DensityOperator:

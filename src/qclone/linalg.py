@@ -16,14 +16,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # Tolerance hierarchy used across the package: constructive identities,
-# eigenvalue and functional identities, quadrature checks.
+# eigenvalue and functional identities.
 TOL_CONSTRUCT = 1e-12
 TOL_SPECTRAL = 1e-10
-TOL_QUADRATURE = 1e-6
 
 #: Most amplitudes ``reduced_density`` multiplies in one product; it bounds
 #: the temporaries that wide joint states would otherwise allocate.
 _MARGINAL_BLOCK = 2**14
+
+#: Most amplitudes one batched joint state may hold: the size of the single
+#: m = 64 joint state of the M-dimensional cloner.
+_BATCH_AMPS = 2**18
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -176,14 +179,16 @@ def tensor(a, b):
     """Kronecker product of two states or two density operators.
 
     The first factor is most significant, matching the global index
-    convention; layouts concatenate.  Batches are rejected.
+    convention; layouts concatenate.  A batch in either factor pairs with
+    the other factor, and two batches pair elementwise.
     """
     if isinstance(a, StateVector) and isinstance(b, StateVector):
-        _reject_batch(a.amps, b.amps, core=1)
-        return StateVector(a.layout.concat(b.layout), np.kron(a.amps, b.amps))
+        amps = a.amps[..., :, None] * b.amps[..., None, :]
+        return StateVector(a.layout.concat(b.layout), amps.reshape(amps.shape[:-2] + (-1,)))
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        _reject_batch(a.mat, b.mat, core=2)
-        return DensityOperator(a.layout.concat(b.layout), np.kron(a.mat, b.mat))
+        mat = a.mat[..., :, None, :, None] * b.mat[..., None, :, None, :]
+        d = a.dim * b.dim
+        return DensityOperator(a.layout.concat(b.layout), mat.reshape(mat.shape[:-4] + (d, d)))
     raise TypeError("tensor expects two StateVectors or two DensityOperators")
 
 
@@ -207,21 +212,23 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     """Trace out all subsystems not listed in ``keep``.
 
     Kept subsystems stay in their original order regardless of the order
-    they are listed in.
+    they are listed in.  A batch of operators gives the batch of their
+    marginals.
     """
     keep_sorted = sorted(keep)
     _check_subsystems(rho.layout, keep_sorted, "partial_trace")
     dims = rho.layout.dims
     k = len(dims)
-    t = rho.mat.reshape(dims + dims)
+    lead = rho.mat.shape[:-2]
+    t = rho.mat.reshape(lead + dims + dims)
     bra = list(range(k))
     ket = [j + k if j in keep_sorted else j for j in range(k)]
     out = [j for j in keep_sorted] + [j + k for j in keep_sorted]
-    red = np.einsum(t, bra + ket, out)
+    red = np.einsum(t, [...] + bra + ket, [...] + out)
     dkeep = math.prod(dims[j] for j in keep_sorted)
     return DensityOperator(
         SubsystemLayout(tuple(dims[j] for j in keep_sorted)),
-        red.reshape(dkeep, dkeep),
+        red.reshape(lead + (dkeep, dkeep)),
     )
 
 
@@ -266,46 +273,37 @@ def partial_transpose(rho: DensityOperator, sub: int) -> HermitianMatrix:
     return HermitianMatrix(t.reshape(rho.mat.shape))
 
 
-def _reject_batch(*arrays: np.ndarray, core: int) -> None:
-    """Raise for a batch where a function is defined on one state (core 1)
-    or one operator (core 2) only."""
-    if any(a.ndim != core for a in arrays):
-        raise ValueError("expected a single state or operator, not a batch")
-
-
-def _as_matrix(h) -> np.ndarray:
-    mat = h.mat if isinstance(h, (HermitianMatrix, DensityOperator)) else np.asarray(h, dtype=np.complex128)
-    _reject_batch(mat, core=2)
-    return mat
+def _hermitian(h) -> HermitianMatrix | DensityOperator:
+    """A HermitianMatrix or DensityOperator as given; a plain array is
+    validated as a HermitianMatrix (finite, square, Hermitian within 1e-12)."""
+    return h if isinstance(h, (HermitianMatrix, DensityOperator)) else HermitianMatrix(h)
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix, or the (K, d) stack
-    of them for a batch.
-
-    Accepts a HermitianMatrix, a DensityOperator or a plain array; a plain
-    array is validated as a HermitianMatrix (finite, square, Hermitian within
-    1e-12) first.
-    """
-    if not isinstance(h, (HermitianMatrix, DensityOperator)):
-        h = HermitianMatrix(h)
-    w, _ = np.linalg.eigh(h.mat)
+    of them for a batch.  Accepts a HermitianMatrix, a DensityOperator or a
+    plain array, which is validated as a HermitianMatrix first."""
+    w, _ = np.linalg.eigh(_hermitian(h).mat)
     return w
 
 
-def von_neumann_entropy(rho) -> float:
+def von_neumann_entropy(rho):
     """Entropy -sum(w log w) in nats; eigenvalues at or below zero are
-    treated as exact zeros (their limit contribution vanishes)."""
+    treated as exact zeros (their limit contribution vanishes).  A float for
+    one operator, the array of entropies for a batch."""
     w = hermitian_eigenvalues(rho)
-    _reject_batch(w, core=1)
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log(w)))
+    s = -np.sum(w * np.log(w, out=np.zeros_like(w), where=w > 0.0), axis=-1)
+    return s if s.ndim else float(s)
 
 
-def purity(rho) -> float:
-    """Trace of rho squared; 1 for pure states, 1/d for the maximally mixed."""
-    mat = _as_matrix(rho)
-    return float(np.vdot(mat, mat).real)
+def purity(rho):
+    """Trace of rho squared; 1 for pure states, 1/d for the maximally mixed.
+    A float for one operator, the array of purities for a batch.  Accepts
+    what :func:`hermitian_eigenvalues` accepts."""
+    mat = _hermitian(rho).mat
+    flat = mat.reshape(mat.shape[:-2] + (-1,))
+    p = _inner(flat, flat).real
+    return p if p.ndim else float(p)
 
 
 def pure_fidelity(psi: StateVector, rho: DensityOperator):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import StateVector
+from .linalg import StateVector, tensor
 from .states import BlochQubit, bloch_ket, prep_state
 
 ROTATION = "rotation"
@@ -162,11 +162,7 @@ def clone_via_network(q: BlochQubit, n: int) -> StateVector:
     through the circuit at once."""
     if not 1 <= n <= 8:
         raise ValueError(f"clone count is limited to 1 <= n <= 8, got {n}")
-    ket, prep = bloch_ket(q), prep_state(n)
-    # linalg.tensor(ket, prep) for each input; tensor itself takes no batch
-    amps = ket.amps[..., :, None] * prep.amps
-    psi = StateVector(ket.layout.concat(prep.layout), amps.reshape(ket.amps.shape[:-1] + (-1,)))
-    return run_circuit(build_copy_stage(n), psi)
+    return run_circuit(build_copy_stage(n), tensor(bloch_ket(q), prep_state(n)))
 
 
 def circuit_to_text(circuit: Circuit) -> str:

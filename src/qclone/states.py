@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DensityOperator, StateVector, SubsystemLayout, _inner
+from .linalg import DensityOperator, StateVector, SubsystemLayout, _freeze, _inner
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class BlochQubit:
         if theta.ndim or phi.ndim:
             if theta.ndim != 1 or theta.shape != phi.shape or theta.size == 0:
                 raise ValueError(f"batched angles must be equal-shape non-empty 1-D arrays, got {theta.shape} and {phi.shape}")
-            theta, phi = _frozen_copy(theta), _frozen_copy(phi)
+            theta, phi = _freeze(theta.astype(np.float64)), _freeze(phi.astype(np.float64))
             object.__setattr__(self, "theta", theta)
             object.__setattr__(self, "phi", phi)
         ok = (theta >= 0.0) & (theta <= math.pi)
@@ -41,12 +41,6 @@ class BlochQubit:
         ok = (phi >= 0.0) & (phi < 2.0 * math.pi)
         if not ok.all():
             raise ValueError(f"phi must lie in [0, 2*pi), got {_first_failing(phi, ok)!r}")
-
-
-def _frozen_copy(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
 
 
 def _first_failing(x: np.ndarray, ok: np.ndarray) -> float:
@@ -115,8 +109,7 @@ def _symmetric_amps(n: int, k: int) -> np.ndarray:
         for pos in ones:
             idx |= 1 << (n - 1 - pos)  # first qubit most significant
         amps[idx] = amp
-    amps.flags.writeable = False
-    return amps
+    return _freeze(amps)
 
 
 def symmetric_basis_ket(s: SymmetricIndex) -> StateVector:

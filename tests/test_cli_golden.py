@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from qclone import cli
 from qclone.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -86,6 +87,23 @@ def test_cli_matches_golden(golden, case):
     assert len(got_nums) == len(want_nums)
     for i, (g, w) in enumerate(zip(got_nums, want_nums)):
         assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), f"number {i}: {g!r} != {w!r}"
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c.startswith("sweep register-negativity")])
+def test_sweep_slices_print_the_golden_rows(golden, case, monkeypatch):
+    """With room for 7 register joints (64 amplitudes each) per batch, the
+    101-point grid runs in slices of 7, 7, ... 7, 3 points and still prints
+    the golden output exactly."""
+    slices, register_clone = [], cli.register_clone
+
+    def counted(method, alpha):
+        slices.append(len(alpha))
+        return register_clone(method, alpha)
+
+    monkeypatch.setattr(cli, "_BATCH_AMPS", 64 * 7)
+    monkeypatch.setattr(cli, "register_clone", counted)
+    assert run_case(case) == golden[case]
+    assert slices == [7] * 14 + [3]
 
 
 if __name__ == "__main__":

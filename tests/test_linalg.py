@@ -237,16 +237,21 @@ def test_batched_marginals_and_fidelities():
     assert isinstance(pure_fidelity(zero, pure), float)
 
 
-def test_single_argument_functions_reject_batches():
-    rho = DensityOperator(SubsystemLayout((2,)), np.stack([np.eye(2) / 2] * 3))
-    for fn in (purity, von_neumann_entropy, lambda r: tensor(r, r)):
-        with pytest.raises(ValueError):
-            fn(rho)
-    kets = StateVector(SubsystemLayout((2,)), np.eye(2))
+def test_single_operator_functions_take_batches():
+    """purity, von_neumann_entropy, tensor and partial_trace carry a batch:
+    a maximally mixed qubit, |0><0| and |1><1|."""
+    layout = SubsystemLayout((2,))
+    rho = DensityOperator(layout, np.stack([np.eye(2) / 2, np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
+    np.testing.assert_allclose(purity(rho), [0.5, 1.0, 1.0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(von_neumann_entropy(rho), [math.log(2), 0.0, 0.0], rtol=0, atol=1e-15)
+    pair = tensor(rho, rho)
+    assert pair.layout.dims == (2, 2) and pair.mat.shape == (3, 4, 4)
+    np.testing.assert_array_equal(pair.mat[1], np.diag([1.0, 0.0, 0.0, 0.0]))
+    np.testing.assert_array_equal(partial_trace(pair, [1]).mat, rho.mat)
+    kets = StateVector(layout, np.eye(2))
+    np.testing.assert_array_equal(tensor(kets, kets).amps, [[1, 0, 0, 0], [0, 0, 0, 1]])
     with pytest.raises(ValueError):
-        tensor(kets, kets)
-    with pytest.raises(ValueError):
-        StateVector(SubsystemLayout((2,)), np.zeros((0, 2)))
+        StateVector(layout, np.zeros((0, 2)))
 
 
 def test_batched_root_fidelity_equals_scalar_calls():
@@ -344,14 +349,21 @@ class TestEigensolver:
         np.testing.assert_allclose(root @ root, m, rtol=0, atol=1e-11 * np.abs(m).max())
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            hermitian_eigenvalues(np.zeros((2, 3)))
+        for fn in (hermitian_eigenvalues, von_neumann_entropy, purity):
+            with pytest.raises(ValueError, match="square"):
+                fn(np.zeros((2, 3)))
+
+    def test_rejects_non_hermitian(self):
+        for fn in (hermitian_eigenvalues, von_neumann_entropy, purity):
+            with pytest.raises(ValueError, match="Hermitian"):
+                fn(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_rejects_nan(self):
+        for fn in (hermitian_eigenvalues, von_neumann_entropy, purity, HermitianMatrix):
+            with pytest.raises(ValueError, match="finite"):
+                fn(np.full((2, 2), math.nan))
         with pytest.raises(ValueError, match="finite"):
-            hermitian_eigenvalues(np.full((2, 2), math.nan))
-        with pytest.raises(ValueError, match="finite"):
-            HermitianMatrix(np.full((2, 2), math.nan))
+            purity(np.array([[math.nan, 0.0], [0.0, 1.0]]))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
     def test_rejects_inf(self):

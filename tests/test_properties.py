@@ -8,10 +8,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qclone.analysis import (
+    clone_pair_density_formula,
     extract_scaling_factor,
     mdim_formulas,
     mean_fidelity,
+    ppt_separable,
     register_pair_formula,
+    rho_a1b1_density_formula,
     scaling_factor_formula,
 )
 from qclone.cloners import gisin_massar_map, mdim_clone, mdim_coefficients, register_clone, uqcm_map
@@ -24,8 +27,11 @@ from qclone.linalg import (
     outer,
     partial_trace,
     pure_fidelity,
+    purity,
     reduced_density,
     sqrt_fidelity,
+    tensor,
+    von_neumann_entropy,
 )
 from qclone.network import clone_via_network
 from qclone.states import BlochQubit, bloch_ket
@@ -271,6 +277,21 @@ def test_batched_register_clones_equal_scalar_calls(method, alphas):
         assert np.array_equal(got[k], register_clone(method, alpha).mat)
 
 
+@PROPERTY
+@given(st.integers(1, 6), angle_batches, st.sampled_from(["local", "nonlocal"]),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_batched_closed_forms_equal_scalar_calls(n, pairs, method, alphas):
+    q = batched(pairs)
+    pair, a1b1 = clone_pair_density_formula(n, q).mat, rho_a1b1_density_formula(q).mat
+    for k, (theta, phi) in enumerate(pairs):
+        qk = BlochQubit(theta, phi)
+        assert np.array_equal(pair[k], clone_pair_density_formula(n, qk).mat)
+        assert np.array_equal(a1b1[k], rho_a1b1_density_formula(qk).mat)
+    reg = register_pair_formula(method, np.array(alphas)).mat
+    for k, alpha in enumerate(alphas):
+        assert np.array_equal(reg[k], register_pair_formula(method, alpha).mat)
+
+
 @st.composite
 def density_pairs(draw):
     """Two (K, d, d) stacks of density operators, K in 1..6, d in 2..6; each
@@ -295,6 +316,92 @@ def test_batched_root_fidelity_equals_scalar_calls(pair):
         one1, one2 = DensityOperator(layout, pair[0][k]), DensityOperator(layout, pair[1][k])
         assert f[k] == sqrt_fidelity(one1, one2)
         assert b[k] == bures_distance(one1, one2)
+
+
+@st.composite
+def operator_batches(draw, dims=None):
+    """DensityOperator holding K in 1..4 operators over ``dims``, or over
+    one of a few layouts of up to three subsystems when ``dims`` is None;
+    each element is either a drawn full-rank operator or a pure projector."""
+    if dims is None:
+        dims = draw(st.sampled_from([(2,), (3,), (2, 2), (2, 3), (3, 2), (2, 2, 2)]))
+    d = math.prod(dims)
+
+    def element():
+        if draw(st.booleans()):
+            return draw(densities(d))
+        return outer(draw(states((d,)))).mat
+
+    return DensityOperator(SubsystemLayout(dims), np.stack([element() for _ in range(draw(st.integers(1, 4)))]))
+
+
+def elements(batch):
+    """The elements of a batched StateVector or DensityOperator, one call's
+    argument each."""
+    if isinstance(batch, StateVector):
+        return [StateVector(batch.layout, amps) for amps in batch.amps]
+    return [DensityOperator(batch.layout, mat) for mat in batch.mat]
+
+
+@PROPERTY
+@given(operator_batches())
+def test_batched_purity_and_entropy_equal_scalar_calls(rho):
+    p, s = purity(rho), von_neumann_entropy(rho)
+    assert p.shape == s.shape == (len(rho.mat),)
+    for k, one in enumerate(elements(rho)):
+        assert p[k] == purity(one)
+        assert s[k] == von_neumann_entropy(one)
+
+
+@PROPERTY
+@given(operator_batches(), st.data())
+def test_batched_partial_trace_equals_scalar_calls(rho, data):
+    n = len(rho.layout)
+    keep = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    red = partial_trace(rho, keep)
+    assert red.mat.shape[0] == len(rho.mat)
+    for k, one in enumerate(elements(rho)):
+        assert np.array_equal(red.mat[k], partial_trace(one, keep).mat)
+
+
+@PROPERTY
+@given(operator_batches((2, 2)))
+def test_batched_ppt_separable_equals_scalar_calls(rho):
+    sep, min_eig = ppt_separable(rho)
+    assert sep.shape == min_eig.shape == (len(rho.mat),)
+    for k, one in enumerate(elements(rho)):
+        assert (bool(sep[k]), float(min_eig[k])) == ppt_separable(one)
+
+
+@PROPERTY
+@given(st.sampled_from(["states", "operators"]), st.sampled_from(["first", "second", "both"]), st.data())
+def test_batched_tensor_equals_scalar_calls(kind, batched_in, data):
+    """A batch in the first factor, the second or both: each element of the
+    product is the scalar product, which is the Kronecker product."""
+    k = data.draw(st.integers(1, 4))
+
+    def factor(batch: bool):
+        d = data.draw(st.integers(2, 3))
+        count = k if batch else 1
+        if kind == "states":
+            amps = np.stack([data.draw(states((d,))).amps for _ in range(count)])
+            return StateVector(SubsystemLayout((d,)), amps if batch else amps[0])
+        mats = np.stack([data.draw(densities(d)) for _ in range(count)])
+        return DensityOperator(SubsystemLayout((d,)), mats if batch else mats[0])
+
+    a, b = factor(batched_in != "second"), factor(batched_in != "first")
+    out = tensor(a, b)
+    assert out.layout.dims == a.layout.dims + b.layout.dims
+    firsts = elements(a) if batched_in != "second" else [a] * k
+    seconds = elements(b) if batched_in != "first" else [b] * k
+    for one, x, y in zip(elements(out), firsts, seconds, strict=True):
+        scalar = tensor(x, y)
+        if kind == "states":
+            assert np.array_equal(one.amps, scalar.amps)
+            assert np.array_equal(scalar.amps, np.kron(x.amps, y.amps))
+        else:
+            assert np.array_equal(one.mat, scalar.mat)
+            assert np.array_equal(scalar.mat, np.kron(x.mat, y.mat))
 
 
 @st.composite

@@ -1,0 +1,58 @@
+"""The three routes stay independent: the gate network and the direct
+isometries never import each other or ``analysis``, and the closed forms in
+``analysis`` use no name from either simulation route, directly or through
+another function of the module."""
+import ast
+from pathlib import Path
+
+import qclone
+
+PACKAGE = Path(qclone.__file__).parent
+SIMULATION = {"network", "cloners"}
+
+
+def parse(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
+def imports(module: str) -> dict[str, str]:
+    """Each name the module binds by an import, mapped to the qclone
+    submodule it comes from (a bound submodule maps to itself)."""
+    bound = {}
+    for node in ast.walk(parse(module)):
+        if isinstance(node, ast.ImportFrom):
+            base = (node.module or "").removeprefix("qclone").lstrip(".")
+            for alias in node.names:
+                bound[alias.asname or alias.name] = base or alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.name.removeprefix("qclone.")
+                bound[alias.asname or alias.name.split(".")[0]] = name
+    return bound
+
+
+def test_network_imports_neither_cloners_nor_analysis():
+    assert not {"cloners", "analysis"} & set(imports("network").values())
+
+
+def test_cloners_import_neither_network_nor_analysis():
+    assert not {"network", "analysis"} & set(imports("cloners").values())
+
+
+def test_closed_forms_use_no_simulation_name():
+    tree = parse("analysis")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    route_names = {name for name, src in imports("analysis").items() if src in SIMULATION}
+    assert {"gisin_massar_map", "register_clone"} <= route_names  # the simulated measurements do use them
+
+    def names(fn: str, seen: set[str]) -> set[str]:
+        seen.add(fn)
+        used = {n.id for n in ast.walk(functions[fn]) if isinstance(n, ast.Name)}
+        for callee in (used & functions.keys()) - seen:
+            used |= names(callee, seen)
+        return used
+
+    forms = [fn for fn in functions if fn.endswith("_formula") or fn in ("purity_xi", "mdim_formulas")]
+    assert len(forms) >= 8, forms
+    for fn in forms:
+        assert not names(fn, set()) & route_names, fn
