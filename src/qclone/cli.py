@@ -38,9 +38,14 @@ def _default_format(parser: argparse.ArgumentParser) -> str:
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        # exit 1 means a failed check, so an unwritable --output is a usage error
+        sys.stderr.write(f"qclone: error: cannot write --output {path!r}: {exc.strerror}\n")
+        raise SystemExit(2) from None
 
 
 def _parse_int_range(spec: str, parser: argparse.ArgumentParser, what: str) -> range:
@@ -117,12 +122,8 @@ def cmd_clone(args, parser: argparse.ArgumentParser) -> int:
         # the library owns the valid ranges (clone count, dimension, angles,
         # seed) and raises ValueError for a value outside them
         parser.error(f"clone {args.kind}: {exc}")
-    if args.format == "json":
-        _emit(rep.to_json(), args.output)
-    elif args.format == "csv":
-        _emit(rep.to_csv(), args.output)
-    else:
-        _emit(rep.to_table(), args.output)
+    text = {"json": rep.to_json, "csv": rep.to_csv, "table": rep.to_table}[args.format]()
+    _emit(text, args.output)
     return 0
 
 
@@ -246,13 +247,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "format", None) is None and args.command == "clone":
         args.format = _default_format(parser)
-    if args.command == "clone":
-        return cmd_clone(args, parser)
-    if args.command == "reproduce":
-        return cmd_reproduce(args, parser)
-    if args.command == "sweep":
-        return cmd_sweep(args, parser)
-    return cmd_dump_circuit(args, parser)
+    run = {"clone": cmd_clone, "reproduce": cmd_reproduce, "sweep": cmd_sweep, "dump-circuit": cmd_dump_circuit}
+    return run[args.command](args, parser)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from .linalg import (
     SubsystemLayout,
     TOL_CONSTRUCT,
     _freeze,
+    _trusted,
     reduced_density,
 )
 from .states import BlochQubit, SymmetricIndex, bloch_ket, register_ket, symmetric_basis_ket
@@ -101,7 +102,7 @@ def uqcm_map(q: BlochQubit) -> CloneOutput:
     general inputs extend linearly, and a batched ``q`` gives the batch of
     joint outputs.
     """
-    joint = StateVector(_UQCM_LAYOUT, _linear_image(q, *_uqcm_columns()))
+    joint = _trusted(StateVector, layout=_UQCM_LAYOUT, amps=_linear_image(q, *_uqcm_columns()))
     return CloneOutput(joint=joint, clone_count=2, copier_dims=(2,))
 
 
@@ -137,7 +138,7 @@ def gisin_massar_map(q: BlochQubit, n: int) -> CloneOutput:
     batched ``q`` gives the batch of joint outputs."""
     if not 1 <= n <= 8:
         raise ValueError(f"clone count is limited to 1 <= n <= 8, got {n}")
-    joint = StateVector(_gm_layout(n), _linear_image(q, *_gm_columns(n)))
+    joint = _trusted(StateVector, layout=_gm_layout(n), amps=_linear_image(q, *_gm_columns(n)))
     return CloneOutput(joint=joint, clone_count=n + 1, copier_dims=(2,) * n)
 
 
@@ -192,7 +193,7 @@ def mdim_clone(phi: StateVector) -> CloneOutput:
     amps = phi.amps
     out = np.zeros(amps.shape[:-1] + (m**3,), dtype=np.complex128)
     out[..., target] = weight * amps[..., source]
-    return CloneOutput(joint=StateVector(layout, out), clone_count=2, copier_dims=(m,))
+    return CloneOutput(joint=_trusted(StateVector, layout=layout, amps=out), clone_count=2, copier_dims=(m,))
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +214,7 @@ def local_register_clone(alpha) -> DensityOperator:
     gives the batch of pair states.
     """
     joint = register_ket(alpha).amps @ _local_register_isometry().T
-    psi = StateVector(SubsystemLayout((2,) * 6), joint)
+    psi = _trusted(StateVector, layout=SubsystemLayout((2,) * 6), amps=joint)
     pair_ab = reduced_density(psi, [0, 4])  # (a_0, b_1)
     pair_ba = reduced_density(psi, [1, 3])  # (a_1, b_0)
     if np.abs(pair_ab.mat - pair_ba.mat).max() > TOL_CONSTRUCT:
@@ -231,14 +232,11 @@ def nonlocal_register_clone(alpha) -> DensityOperator:
     array of alphas gives the batch of register states.
     """
     # the four levels are the register basis |00>, |01>, |10>, |11>
-    out = mdim_clone(StateVector(SubsystemLayout((4,)), register_ket(alpha).amps))
-    # reinterpret (4, 4, 4) as qubit wires (a_0, b_0, a_1, b_1) + copier
-    psi = StateVector(SubsystemLayout((2, 2, 2, 2, 4)), out.joint.amps)
-    copy_a = reduced_density(psi, [0, 1])  # register copy (a_0, b_0)
-    copy_b = reduced_density(psi, [2, 3])  # register copy (a_1, b_1)
+    out = mdim_clone(_trusted(StateVector, layout=SubsystemLayout((4,)), amps=register_ket(alpha).amps))
+    copy_a, copy_b = out.clone_marginal(0), out.clone_marginal(1)
     if np.abs(copy_a.mat - copy_b.mat).max() > TOL_CONSTRUCT:
         raise AssertionError("register copies disagree; cloner is broken")
-    return copy_a
+    return _trusted(DensityOperator, layout=SubsystemLayout((2, 2)), mat=copy_a.mat)
 
 
 def register_clone(method: str, alpha) -> DensityOperator:

@@ -34,6 +34,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _trusted(cls, **fields):
+    """``cls`` from fields valid by construction, skipping validation.  It owns
+    each array, cast to complex128 and frozen: pass fresh or frozen arrays only."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value = _freeze(value.astype(np.complex128, copy=False))
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 # Every validation test against a tolerance is written ``not (err <= tol)``
 # so that a NaN fails it.  A NaN or inf entry then always fails the first such
 # test (a state's norm, a matrix's Hermiticity); finiteness is checked only on
@@ -127,9 +138,7 @@ class DensityOperator:
 
     ``mat`` holds one (d, d) operator, or a batch of K as a (K, d, d) array.
     Construction enforces, on every element, finite entries, Hermiticity and
-    trace within 1e-12 and eigenvalues >= -1e-10.  Positivity is certified by
-    a Gershgorin bound where that is already conclusive; the elements it
-    leaves open go to one stacked eigenvalue solve.
+    trace within 1e-12 and eigenvalues >= -1e-10.
     """
 
     layout: SubsystemLayout
@@ -144,15 +153,9 @@ class DensityOperator:
         tr = np.trace(mat, axis1=-2, axis2=-1)
         if not abs(tr - 1.0).max() <= TOL_CONSTRUCT:
             raise ValueError(f"trace must be 1 within 1e-12, got {_worst(tr, 1.0)!r}")
-        diag = mat.diagonal(axis1=-2, axis2=-1)
-        gersh = diag.real - (np.abs(mat).sum(axis=-1) - np.abs(diag))
-        if not gersh.min() >= -TOL_SPECTRAL:
-            # only the elements the bound leaves open are solved, values only;
-            # a 0-d mask adds the batch axis, so one operator is a batch of one
-            undecided = ~(gersh.min(axis=-1) >= -TOL_SPECTRAL)
-            w = np.linalg.eigvalsh(mat[undecided])[:, 0]
-            if not w.min() >= -TOL_SPECTRAL:
-                raise ValueError(f"operator has a negative eigenvalue: {float(w.min())!r}")
+        w = np.linalg.eigvalsh(mat)[..., 0]
+        if not w.min() >= -TOL_SPECTRAL:
+            raise ValueError(f"operator has a negative eigenvalue: {float(w.min())!r}")
         object.__setattr__(self, "mat", _freeze(mat))
 
     @property
@@ -184,18 +187,18 @@ def tensor(a, b):
     """
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         amps = a.amps[..., :, None] * b.amps[..., None, :]
-        return StateVector(a.layout.concat(b.layout), amps.reshape(amps.shape[:-2] + (-1,)))
+        return _trusted(StateVector, layout=a.layout.concat(b.layout), amps=amps.reshape(amps.shape[:-2] + (-1,)))
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
         mat = a.mat[..., :, None, :, None] * b.mat[..., None, :, None, :]
         d = a.dim * b.dim
-        return DensityOperator(a.layout.concat(b.layout), mat.reshape(mat.shape[:-4] + (d, d)))
+        return _trusted(DensityOperator, layout=a.layout.concat(b.layout), mat=mat.reshape(mat.shape[:-4] + (d, d)))
     raise TypeError("tensor expects two StateVectors or two DensityOperators")
 
 
 def outer(psi: StateVector) -> DensityOperator:
     """Rank-one projector |psi><psi| as a density operator; a batch of
     states gives the batch of projectors."""
-    return DensityOperator(psi.layout, psi.amps[..., :, None] * psi.amps[..., None, :].conj())
+    return _trusted(DensityOperator, layout=psi.layout, mat=psi.amps[..., :, None] * psi.amps[..., None, :].conj())
 
 
 def _check_subsystems(layout: SubsystemLayout, subs: Sequence[int], what: str) -> None:
@@ -226,10 +229,8 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     out = [j for j in keep_sorted] + [j + k for j in keep_sorted]
     red = np.einsum(t, [...] + bra + ket, [...] + out)
     dkeep = math.prod(dims[j] for j in keep_sorted)
-    return DensityOperator(
-        SubsystemLayout(tuple(dims[j] for j in keep_sorted)),
-        red.reshape(lead + (dkeep, dkeep)),
-    )
+    layout = SubsystemLayout(tuple(dims[j] for j in keep_sorted))
+    return _trusted(DensityOperator, layout=layout, mat=red.reshape(lead + (dkeep, dkeep)))
 
 
 def reduced_density(psi: StateVector, keep: Sequence[int]) -> DensityOperator:
@@ -258,7 +259,7 @@ def reduced_density(psi: StateVector, keep: Sequence[int]) -> DensityOperator:
     for j in range(step, a.shape[-1], step):
         b = a[..., j:j + step]
         red += b @ b.conj().swapaxes(-1, -2)
-    return DensityOperator(SubsystemLayout(tuple(dims[j] for j in keep)), red)
+    return _trusted(DensityOperator, layout=SubsystemLayout(tuple(dims[j] for j in keep)), mat=red)
 
 
 def partial_transpose(rho: DensityOperator, sub: int) -> HermitianMatrix:
@@ -270,7 +271,7 @@ def partial_transpose(rho: DensityOperator, sub: int) -> HermitianMatrix:
     lead = rho.mat.shape[:-2]
     t = rho.mat.reshape(lead + dims + dims)
     t = t.swapaxes(len(lead) + sub, len(lead) + sub + len(dims))
-    return HermitianMatrix(t.reshape(rho.mat.shape))
+    return _trusted(HermitianMatrix, mat=t.reshape(rho.mat.shape))
 
 
 def _hermitian(h) -> HermitianMatrix | DensityOperator:

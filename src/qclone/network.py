@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import StateVector, tensor
+from .linalg import StateVector, _trusted, tensor
 from .states import BlochQubit, bloch_ket, prep_state
 
 ROTATION = "rotation"
@@ -94,7 +94,7 @@ def apply_rotation(psi: StateVector, wire: int, theta: float) -> StateVector:
     r = np.array([[c, -s], [s, c]], dtype=np.complex128)
     out = np.tensordot(t, r, axes=([lead + wire], [1]))
     out = np.moveaxis(out, -1, lead + wire)
-    return StateVector(psi.layout, out.reshape(psi.amps.shape))
+    return _trusted(StateVector, layout=psi.layout, amps=out.reshape(psi.amps.shape))
 
 
 def apply_cnot(psi: StateVector, control: int, target: int) -> StateVector:
@@ -104,7 +104,7 @@ def apply_cnot(psi: StateVector, control: int, target: int) -> StateVector:
     one = [slice(None)] * t.ndim
     one[lead + control] = 1
     t[tuple(one)] = np.flip(t[tuple(one)], axis=lead + (target if target < control else target - 1))
-    return StateVector(psi.layout, t.reshape(psi.amps.shape))
+    return _trusted(StateVector, layout=psi.layout, amps=t.reshape(psi.amps.shape))
 
 
 def run_circuit(circuit: Circuit, psi: StateVector) -> StateVector:

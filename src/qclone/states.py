@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DensityOperator, StateVector, SubsystemLayout, _freeze, _inner
+from .linalg import DensityOperator, StateVector, SubsystemLayout, _freeze, _inner, _trusted
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def _qubit_ket(alpha, beta) -> StateVector:
     amps = np.empty(np.shape(alpha) + (2,), dtype=np.complex128)
     amps[..., 0] = alpha
     amps[..., 1] = beta
-    return StateVector(_QUBIT, amps)
+    return _trusted(StateVector, layout=_QUBIT, amps=amps)
 
 
 def bloch_ket(q: BlochQubit) -> StateVector:
@@ -90,13 +90,15 @@ def register_ket(alpha) -> StateVector:
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.ndim > 1:
         raise ValueError(f"alpha must be a number or a 1-D array, got shape {alpha.shape}")
+    if alpha.size == 0:
+        raise ValueError("a batch needs at least one state")
     ok = (alpha >= 0.0) & (alpha <= 1.0)
     if not ok.all():
         raise ValueError(f"alpha must lie in [0, 1], got {_first_failing(alpha, ok)!r}")
     amps = np.zeros(alpha.shape + (4,))
     amps[..., 0] = alpha
     amps[..., 3] = np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha))
-    return StateVector(SubsystemLayout((2, 2)), amps)
+    return _trusted(StateVector, layout=SubsystemLayout((2, 2)), amps=amps)
 
 
 @lru_cache(maxsize=None)
@@ -115,7 +117,7 @@ def _symmetric_amps(n: int, k: int) -> np.ndarray:
 def symmetric_basis_ket(s: SymmetricIndex) -> StateVector:
     """Symmetric (Dicke) state |n;k>: all weight-k basis states, equal
     positive amplitudes."""
-    return StateVector(SubsystemLayout((2,) * s.n), _symmetric_amps(s.n, s.k))
+    return _trusted(StateVector, layout=SubsystemLayout((2,) * s.n), amps=_symmetric_amps(s.n, s.k))
 
 
 def prep_state(n: int) -> StateVector:
@@ -139,7 +141,7 @@ def prep_state(n: int) -> StateVector:
         if k > 0:
             f_k = math.sqrt(k / (n - k + 1.0)) * e_k
             amps += f_k * np.kron(_symmetric_amps(n, k - 1), b_part)
-    return StateVector(SubsystemLayout((2,) * (2 * n)), amps)
+    return _trusted(StateVector, layout=SubsystemLayout((2,) * (2 * n)), amps=amps)
 
 
 def scaled_state(ideal: DensityOperator, s: float) -> DensityOperator:
@@ -148,7 +150,7 @@ def scaled_state(ideal: DensityOperator, s: float) -> DensityOperator:
         raise ValueError(f"scaling factor must lie in [0, 1], got {s!r}")
     d = ideal.dim
     mat = s * ideal.mat + (1.0 - s) / d * np.eye(d)
-    return DensityOperator(ideal.layout, mat)
+    return _trusted(DensityOperator, layout=ideal.layout, mat=mat)
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -164,12 +166,14 @@ def haar_random_ket(dim: int, seed, count: int | None = None) -> StateVector:
     draw, each row equal to the ket its call returns."""
     if dim < 2:
         raise ValueError(f"need dim >= 2, got {dim}")
+    if count is not None and count < 1:
+        raise ValueError("a batch needs at least one state")
     g = _as_rng(seed).standard_normal((1 if count is None else count, 2, dim))
     z = g[:, 0] + 1j * g[:, 1]  # per ket: dim real parts, then dim imaginary parts
     # the sum np.linalg.norm takes for one vector, so no row depends on the batch
     norm = np.sqrt(_inner(z.real, z.real) + _inner(z.imag, z.imag))
     amps = z / norm[:, None]
-    return StateVector(SubsystemLayout((dim,)), amps[0] if count is None else amps)
+    return _trusted(StateVector, layout=SubsystemLayout((dim,)), amps=amps[0] if count is None else amps)
 
 
 def random_bloch(seed, count: int | None = None) -> BlochQubit:

@@ -8,6 +8,10 @@ from qclone.cli import main
 from qclone.network import build_copy_stage, build_prep_circuit_1, circuit_from_text
 
 
+#: stands for an --output path inside a directory that does not exist
+MISSING = "<missing>/out"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
@@ -78,11 +82,15 @@ def test_clone_csv_and_table(capsys):
         ("sweep", "register-negativity", "--alpha2=0:inf:5", "--method", "local"),      # infinite STOP
         ("sweep", "register-negativity", "--alpha2=-inf:1:5", "--method", "local"),     # infinite START
         ("sweep", "register-negativity", "--alpha2=-0.5:1.5:5", "--method", "local"),  # grid outside [0, 1]
+        ("clone", "uqcm", "--output", MISSING),            # --output in a missing directory
+        ("reproduce", "--output", MISSING),
+        ("sweep", "gm-fidelity", "--n", "1:2", "--output", MISSING),
+        ("dump-circuit", "prep1", "--output", MISSING),
     ],
 )
-def test_usage_errors_exit_2(capsys, argv):
+def test_usage_errors_exit_2(capsys, tmp_path, argv):
     with pytest.raises(SystemExit) as err:
-        main(list(argv))
+        main([str(tmp_path / "missing" / "out") if a == MISSING else a for a in argv])
     assert err.value.code == 2
 
 

@@ -189,6 +189,9 @@ class TestRegisterCloners:
             local_register_clone(1.5)
         with pytest.raises(ValueError):
             nonlocal_register_clone(-0.1)
+        for method in ("local", "nonlocal"):
+            with pytest.raises(ValueError, match="at least one state"):
+                register_clone(method, np.array([]))
 
     def test_dispatch_by_method_name(self):
         a = math.sqrt(0.3)

@@ -26,6 +26,7 @@ from qclone.linalg import (
     bures_distance,
     outer,
     partial_trace,
+    partial_transpose,
     pure_fidelity,
     purity,
     reduced_density,
@@ -33,8 +34,18 @@ from qclone.linalg import (
     tensor,
     von_neumann_entropy,
 )
-from qclone.network import clone_via_network
-from qclone.states import BlochQubit, bloch_ket
+from qclone.network import apply_cnot, apply_rotation, clone_via_network
+from qclone.states import (
+    BlochQubit,
+    SymmetricIndex,
+    bloch_ket,
+    haar_random_ket,
+    orthogonal_ket,
+    prep_state,
+    register_ket,
+    scaled_state,
+    symmetric_basis_ket,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -492,3 +503,66 @@ def test_mean_fidelity_broadcasts_a_constant_operator(mat):
     # the sphere average of |psi><psi| is I/2, so every operator averages 1/2
     rho = DensityOperator(SubsystemLayout((2,)), mat)
     assert abs(mean_fidelity(lambda q: rho, 16, 16) - 0.5) <= 1e-12
+
+
+# ------------------------------------------------------- trusted constructions
+
+
+def assert_revalidates(x):
+    """``x`` passes its public constructor's validation again, and its
+    arrays are read-only complex128."""
+    if isinstance(x, StateVector):
+        StateVector(x.layout, x.amps)
+        arr = x.amps
+    elif isinstance(x, DensityOperator):
+        DensityOperator(x.layout, x.mat)
+        arr = x.mat
+    else:
+        HermitianMatrix(x.mat)
+        arr = x.mat
+    assert arr.dtype == np.complex128
+    assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("count", [None, 1, 4])
+@PROPERTY
+@given(st.data())
+def test_trusted_constructions_pass_validation(count, data):
+    """Every state or operator built without validation, from one input
+    (``count`` None) or a batch of ``count``, is one validation accepts."""
+    k = 1 if count is None else count
+    pairs = data.draw(st.lists(angles, min_size=k, max_size=k))
+    alphas = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+    q, alpha = (BlochQubit(*pairs[0]), alphas[0]) if count is None else (batched(pairs), alphas)
+    n = data.draw(st.integers(1, 3))
+    m, width = data.draw(st.integers(2, 8)), data.draw(st.integers(2, 4))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    control, target = data.draw(st.lists(st.integers(0, width - 1), min_size=2, max_size=2, unique=True))
+    wires = StateVector(SubsystemLayout((2,) * width), haar_random_ket(2**width, seed, count).amps)
+
+    ket, reg = bloch_ket(q), register_clone("nonlocal", alpha)
+    gm = gisin_massar_map(q, n)
+    pair = tensor(outer(ket), reg)
+    outputs = [
+        ket,
+        orthogonal_ket(q),
+        register_ket(alpha),
+        symmetric_basis_ket(SymmetricIndex(n, data.draw(st.integers(0, n)))),
+        prep_state(n),
+        haar_random_ket(m, seed, count),
+        scaled_state(outer(ket), data.draw(st.floats(0.0, 1.0))),
+        tensor(ket, register_ket(alpha)),
+        pair,
+        partial_trace(pair, data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))),
+        reduced_density(gm.joint, data.draw(st.lists(st.integers(0, 2 * n), min_size=1, max_size=3, unique=True))),
+        partial_transpose(reg, data.draw(st.integers(0, 1))),
+        apply_rotation(wires, control, data.draw(st.floats(-math.pi, math.pi))),
+        apply_cnot(wires, control, target),
+        uqcm_map(q).joint,
+        gm.joint,
+        mdim_clone(haar_random_ket(m, seed, count)).joint,
+        register_clone("local", alpha),
+        reg,
+    ]
+    for x in outputs:
+        assert_revalidates(x)

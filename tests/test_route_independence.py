@@ -1,7 +1,8 @@
 """The three routes stay independent: the gate network and the direct
 isometries never import each other or ``analysis``, and the closed forms in
 ``analysis`` use no name from either simulation route, directly or through
-another function of the module."""
+another function of the module.  Only the modules that build states and
+operators skip their validation."""
 import ast
 from pathlib import Path
 
@@ -56,3 +57,16 @@ def test_closed_forms_use_no_simulation_name():
     assert len(forms) >= 8, forms
     for fn in forms:
         assert not names(fn, set()) & route_names, fn
+
+
+def test_only_building_modules_skip_validation():
+    """``linalg._trusted`` builds objects without validating them; the
+    closed forms, the checks, the reports and the CLI construct through the
+    validating constructors."""
+    users = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(parse(path.stem)):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name == "_trusted":
+                users.add(path.stem)
+    assert users == {"linalg", "states", "network", "cloners"}

@@ -79,7 +79,7 @@ def test_register_ket_is_normalized(alpha):
     np.testing.assert_allclose(amps, [alpha, 0, 0, math.sqrt(1 - alpha**2)], atol=1e-15)
 
 
-@pytest.mark.parametrize("alpha", [1.5, math.nan])
+@pytest.mark.parametrize("alpha", [1.5, math.nan, np.array([])])
 def test_register_ket_rejects_bad_alpha(alpha):
     with pytest.raises(ValueError):
         register_ket(alpha)
@@ -171,6 +171,8 @@ def test_haar_random_ket_deterministic():
     assert a.layout.dims == (6,)
     with pytest.raises(ValueError):
         haar_random_ket(1, 0)
+    with pytest.raises(ValueError, match="at least one state"):
+        haar_random_ket(4, 0, count=0)
 
 
 def test_random_bloch_ranges():
