@@ -122,8 +122,12 @@ def cmd_clone(args, parser: argparse.ArgumentParser) -> int:
         # the library owns the valid ranges (clone count, dimension, angles,
         # seed) and raises ValueError for a value outside them
         parser.error(f"clone {args.kind}: {exc}")
-    text = {"json": rep.to_json, "csv": rep.to_csv, "table": rep.to_table}[args.format]()
-    _emit(text, args.output)
+    if args.format == "json":
+        _emit(rep.to_json(), args.output)
+    elif args.format == "csv":
+        _emit(rep.to_csv(), args.output)
+    else:
+        _emit(rep.to_table(), args.output)
     return 0
 
 
@@ -247,8 +251,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "format", None) is None and args.command == "clone":
         args.format = _default_format(parser)
-    run = {"clone": cmd_clone, "reproduce": cmd_reproduce, "sweep": cmd_sweep, "dump-circuit": cmd_dump_circuit}
-    return run[args.command](args, parser)
+    if args.command == "clone":
+        return cmd_clone(args, parser)
+    if args.command == "reproduce":
+        return cmd_reproduce(args, parser)
+    if args.command == "sweep":
+        return cmd_sweep(args, parser)
+    return cmd_dump_circuit(args, parser)
 
 
 if __name__ == "__main__":

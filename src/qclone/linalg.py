@@ -35,7 +35,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _trusted(cls, **fields):
-    """``cls`` from fields valid by construction, skipping validation.  It owns
+    """``cls`` from fields valid by construction, skipping validation: valid up
+    to rounding compounded from inputs that may sit at the tolerances.  It owns
     each array, cast to complex128 and frozen: pass fresh or frozen arrays only."""
     obj = object.__new__(cls)
     for name, value in fields.items():

@@ -42,8 +42,8 @@ class GateOp:
     def __post_init__(self):
         if self.kind not in (ROTATION, CNOT):
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind == ROTATION and (len(self.wires) != 1 or self.theta is None):
-            raise ValueError("rotation takes one wire and an angle")
+        if self.kind == ROTATION and (len(self.wires) != 1 or self.theta is None or not math.isfinite(self.theta)):
+            raise ValueError(f"rotation takes one wire and a finite angle, got {self.theta!r}")
         if self.kind == CNOT:
             if len(self.wires) != 2 or self.theta is not None:
                 raise ValueError("cnot takes exactly (control, target) and no angle")
@@ -86,7 +86,7 @@ def _qubit_tensor(psi: StateVector) -> tuple[np.ndarray, int]:
     return psi.amps.reshape(lead + dims), len(lead)
 
 
-# Wires are checked once, by GateOp and Circuit; the gates trust them.
+# Wires and angles are checked once, by GateOp and Circuit; the gates trust them.
 def apply_rotation(psi: StateVector, wire: int, theta: float) -> StateVector:
     """Apply R(theta) on one wire."""
     t, lead = _qubit_tensor(psi)

@@ -67,6 +67,9 @@ def test_gate_validation():
         cnot(1, 1)
     with pytest.raises(ValueError):
         GateOp(kind=ROTATION, wires=(0, 1), theta=0.5)
+    for theta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite angle"):
+            rotation(0, theta)
     with pytest.raises(ValueError):
         Circuit(width=2, ops=(cnot(0, 2),))
     with pytest.raises(ValueError):
@@ -153,6 +156,8 @@ def test_circuit_text_rejects_garbage():
         circuit_from_text("R 0 0.5\n")
     with pytest.raises(ValueError):
         circuit_from_text("WIDTH 2\nR 0\n")
+    with pytest.raises(ValueError, match="finite angle"):
+        circuit_from_text("WIDTH 1\nR 0 nan\n")
 
 
 def test_prep_circuit_angles_regression():
