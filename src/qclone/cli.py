@@ -7,6 +7,7 @@ or table), falling back to table.  All angles are radians.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -209,7 +210,9 @@ def cmd_dump_circuit(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it found it
     parser = argparse.ArgumentParser(
         prog="qclone",
         description="Universal quantum cloning: simulate, verify, export.",

@@ -70,25 +70,23 @@ class CloneOutput:
 
 
 @lru_cache(maxsize=None)
-def _uqcm_columns() -> tuple[np.ndarray, np.ndarray]:
-    # images of |0> and |1> on (a_0, a_1, x); the copier basis states map
-    # onto |0> and |1> of the x wire
-    col0 = np.zeros(8, dtype=np.complex128)
-    col0[0b000] = math.sqrt(2.0 / 3.0)
-    col0[0b101] = math.sqrt(1.0 / 6.0)
-    col0[0b011] = math.sqrt(1.0 / 6.0)
-    col1 = np.zeros(8, dtype=np.complex128)
-    col1[0b111] = math.sqrt(2.0 / 3.0)
-    col1[0b100] = math.sqrt(1.0 / 6.0)
-    col1[0b010] = math.sqrt(1.0 / 6.0)
-    return _freeze(col0), _freeze(col1)
+def _uqcm_columns() -> np.ndarray:
+    # rows: images of |0> and |1> on (a_0, a_1, x); the copier basis states
+    # map onto |0> and |1> of the x wire
+    iso = np.zeros((2, 8), dtype=np.complex128)
+    iso[0, 0b000] = math.sqrt(2.0 / 3.0)
+    iso[0, 0b101] = math.sqrt(1.0 / 6.0)
+    iso[0, 0b011] = math.sqrt(1.0 / 6.0)
+    iso[1, 0b111] = math.sqrt(2.0 / 3.0)
+    iso[1, 0b100] = math.sqrt(1.0 / 6.0)
+    iso[1, 0b010] = math.sqrt(1.0 / 6.0)
+    return _freeze(iso)
 
 
-def _linear_image(q: BlochQubit, col0: np.ndarray, col1: np.ndarray) -> np.ndarray:
-    """a*col0 + b*col1 for the ket a|0> + b|1> of q, one row per qubit of a
-    batch."""
-    amps = bloch_ket(q).amps
-    return amps[..., :1] * col0 + amps[..., 1:] * col1
+def _linear_image(q: BlochQubit, iso: np.ndarray) -> np.ndarray:
+    """a*iso[0] + b*iso[1] for the ket a|0> + b|1> of q, one row per qubit
+    of a batch."""
+    return bloch_ket(q).amps @ iso
 
 
 _UQCM_LAYOUT = SubsystemLayout((2, 2, 2))
@@ -102,7 +100,7 @@ def uqcm_map(q: BlochQubit) -> CloneOutput:
     general inputs extend linearly, and a batched ``q`` gives the batch of
     joint outputs.
     """
-    joint = _trusted(StateVector, layout=_UQCM_LAYOUT, amps=_linear_image(q, *_uqcm_columns()))
+    joint = _trusted(StateVector, layout=_UQCM_LAYOUT, amps=_linear_image(q, _uqcm_columns()))
     return CloneOutput(joint=joint, clone_count=2, copier_dims=(2,))
 
 
@@ -112,24 +110,23 @@ def _gm_layout(n: int) -> SubsystemLayout:
 
 
 @lru_cache(maxsize=None)
-def _gm_columns(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Images of |0> and |1> under the 1-to-(n+1) symmetric cloning isometry.
+def _gm_columns(n: int) -> np.ndarray:
+    """Images of |0> and |1>, as the two rows of one array, under the
+    1-to-(n+1) symmetric cloning isometry.
 
     |0> maps to sum_k lam_k |n+1;k>_a |n;k>_b and |1> to
     sum_k lam_{n-k} |n+1;k+1>_a |n;k>_b with
     lam_k = sqrt(2(n+1-k) / ((n+1)(n+2))).
     """
     lam = [math.sqrt(2.0 * (n + 1 - k) / ((n + 1) * (n + 2))) for k in range(n + 2)]
-    dim = 2 ** (2 * n + 1)
-    col0 = np.zeros(dim, dtype=np.complex128)
-    col1 = np.zeros(dim, dtype=np.complex128)
+    iso = np.zeros((2, 2 ** (2 * n + 1)), dtype=np.complex128)
     for k in range(n + 1):
         b_part = symmetric_basis_ket(SymmetricIndex(n, k)).amps
         a_k = symmetric_basis_ket(SymmetricIndex(n + 1, k)).amps
         a_k1 = symmetric_basis_ket(SymmetricIndex(n + 1, k + 1)).amps
-        col0 += lam[k] * np.kron(a_k, b_part)
-        col1 += lam[n - k] * np.kron(a_k1, b_part)
-    return _freeze(col0), _freeze(col1)
+        iso[0] += lam[k] * np.kron(a_k, b_part)
+        iso[1] += lam[n - k] * np.kron(a_k1, b_part)
+    return _freeze(iso)
 
 
 def gisin_massar_map(q: BlochQubit, n: int) -> CloneOutput:
@@ -138,7 +135,7 @@ def gisin_massar_map(q: BlochQubit, n: int) -> CloneOutput:
     batched ``q`` gives the batch of joint outputs."""
     if not 1 <= n <= 8:
         raise ValueError(f"clone count is limited to 1 <= n <= 8, got {n}")
-    joint = _trusted(StateVector, layout=_gm_layout(n), amps=_linear_image(q, *_gm_columns(n)))
+    joint = _trusted(StateVector, layout=_gm_layout(n), amps=_linear_image(q, _gm_columns(n)))
     return CloneOutput(joint=joint, clone_count=n + 1, copier_dims=(2,) * n)
 
 

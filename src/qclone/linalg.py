@@ -240,7 +240,8 @@ def reduced_density(psi: StateVector, keep: Sequence[int]) -> DensityOperator:
     Unlike :func:`partial_trace` the kept subsystems appear in the order
     given, which lets callers reorder while reducing.  This is the only
     practical route for the wide joint states the gate network produces.
-    A batch of states gives the batch of their marginals.
+    A batch of states gives the batch of their marginals, each bit for bit
+    the marginal of its state alone.
     """
     keep = list(keep)
     _check_subsystems(psi.layout, keep, "reduced_density")
@@ -251,16 +252,23 @@ def reduced_density(psi: StateVector, keep: Sequence[int]) -> DensityOperator:
     axes = list(range(len(lead))) + [len(lead) + j for j in keep + rest]
     a = psi.amps.reshape(lead + dims).transpose(axes)
     dkeep = math.prod(dims[j] for j in keep)
-    a = a.reshape(lead + (dkeep, -1))
-    # summing over column blocks keeps each conjugate copy small; a state
-    # (or batch) that fits in one block is still reduced by a single product
-    step = max(1, _MARGINAL_BLOCK // (dkeep * batch))
-    b = a[..., :step]
-    red = b @ b.conj().swapaxes(-1, -2)
-    for j in range(step, a.shape[-1], step):
-        b = a[..., j:j + step]
-        red += b @ b.conj().swapaxes(-1, -2)
-    return _trusted(DensityOperator, layout=SubsystemLayout(tuple(dims[j] for j in keep)), mat=red)
+    a = a.reshape((batch, dkeep, -1))
+    cols = a.shape[-1]
+    # each state sums the same column blocks in the same order at any batch
+    # size, so a batch equals its scalar calls bit for bit and costs the same
+    # per state; whole states are grouped up to one product block
+    cstep = min(cols, max(1, _MARGINAL_BLOCK // dkeep))
+    kstep = max(1, _MARGINAL_BLOCK // (dkeep * cstep))
+    red = np.empty((batch, dkeep, dkeep), dtype=np.complex128)
+    for k in range(0, batch, kstep):
+        b = a[k:k + kstep, :, :cstep]
+        out = red[k:k + kstep]
+        out[...] = b @ b.conj().swapaxes(-1, -2)
+        for j in range(cstep, cols, cstep):
+            b = a[k:k + kstep, :, j:j + cstep]
+            out += b @ b.conj().swapaxes(-1, -2)
+    layout = SubsystemLayout(tuple(dims[j] for j in keep))
+    return _trusted(DensityOperator, layout=layout, mat=red.reshape(lead + (dkeep, dkeep)))
 
 
 def partial_transpose(rho: DensityOperator, sub: int) -> HermitianMatrix:

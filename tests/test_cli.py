@@ -105,6 +105,23 @@ def test_format_env_default(capsys, monkeypatch):
     assert err.value.code == 2
 
 
+def test_successive_calls_behave_like_fresh_ones(capsys, monkeypatch):
+    # the parser is built once per process; a usage error must leave no
+    # state behind, and QCLONE_FORMAT is read again on every call
+    with pytest.raises(SystemExit) as err:
+        main(["clone", "gm"])
+    assert err.value.code == 2
+    code, out = run(capsys, "clone", "gm", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["n_or_m"] == 2
+
+    monkeypatch.setenv("QCLONE_FORMAT", "json")
+    _, out = run(capsys, "clone", "uqcm")
+    assert json.loads(out)["kind"] == "uqcm"
+    monkeypatch.setenv("QCLONE_FORMAT", "csv")
+    _, out = run(capsys, "clone", "uqcm")
+    assert out.splitlines()[0].startswith("kind,n_or_m,")
+
+
 def test_flag_beats_env(capsys, monkeypatch):
     monkeypatch.setenv("QCLONE_FORMAT", "csv")
     _, out = run(capsys, "clone", "uqcm", "--format", "json")

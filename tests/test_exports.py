@@ -1,5 +1,8 @@
 import ast
 import inspect
+import os
+import subprocess
+import sys
 
 import qclone
 
@@ -25,3 +28,13 @@ def test_star_import_binds_the_library_example_names():
     exec("from qclone import *", scope)
     for name in ("uqcm_map", "gisin_massar_map", "mdim_clone", "clone_via_network", "mean_fidelity"):
         assert name in scope
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # numpy.polynomial costs about 10 ms to load; only the quadrature needs
+    # it, so it loads on the first mean_fidelity call, not at import
+    src = os.path.dirname(os.path.dirname(qclone.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, qclone, qclone.cli; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

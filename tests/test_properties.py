@@ -375,6 +375,33 @@ def test_batched_partial_trace_equals_scalar_calls(rho, data):
         assert np.array_equal(red.mat[k], partial_trace(one, keep).mat)
 
 
+@st.composite
+def marginal_cases(draw):
+    """(dims, keep, count, seed): a layout of up to 4,096 amplitudes, an
+    ordered keep list and a batch size in 1..300."""
+    dims = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=6)))
+    assume(math.prod(dims) <= 4096)
+    keep = draw(st.lists(st.integers(0, len(dims) - 1), min_size=1, max_size=len(dims), unique=True))
+    return dims, keep, draw(st.integers(1, 300)), draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(marginal_cases())
+@example(((2,) * 15, [7], 4, 0))  # one state wider than the product block
+@example(((2,) * 15, [14, 0, 3], 3, 1))
+@example(((3, 100, 100), [0], 3, 2))
+@example(((2,) * 12, [11, 5, 0, 8], 100, 3))
+def test_batched_marginal_equals_scalar_calls(case):
+    """reduced_density of a batch is, bit for bit, the stack of its scalar
+    calls, at any batch size and for states wider than one product block."""
+    dims, keep, count, seed = case
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((count, math.prod(dims))) + 1j * rng.standard_normal((count, math.prod(dims)))
+    psi = StateVector(SubsystemLayout(dims), z / np.linalg.norm(z, axis=1, keepdims=True))
+    scalar = np.stack([reduced_density(one, keep).mat for one in elements(psi)])
+    assert np.array_equal(reduced_density(psi, keep).mat, scalar)
+
+
 @PROPERTY
 @given(operator_batches((2, 2)))
 def test_batched_ppt_separable_equals_scalar_calls(rho):
@@ -485,16 +512,28 @@ def test_bloch_batch_rejects_one_bad_angle(pairs, which, bad, data):
 
 
 @PROPERTY
-@given(st.integers(16, 40), st.integers(16, 40))
-def test_mean_fidelity_calls_once_per_row(n_cos, n_phi):
-    shapes = []
+@given(st.integers(16, 40), st.integers(16, 300))
+@example(64, 64)
+@example(17, 257)
+def test_mean_fidelity_calls_once_per_block(n_cos, n_phi):
+    """The callback gets blocks of whole grid rows in node order: at most
+    256 inputs a call, or one row when a row alone is longer."""
+    shapes, rows = [], []
 
     def marginal(q):
         shapes.append(q.theta.shape)
+        rows.extend(zip(q.theta.reshape(-1, n_phi), q.phi.reshape(-1, n_phi)))
         return uqcm_map(q).clone_marginal(0)
 
     assert abs(mean_fidelity(marginal, n_cos, n_phi) - 5.0 / 6.0) <= 1e-12
-    assert shapes == [(n_phi,)] * n_cos
+    per_call = max(1, 256 // n_phi)
+    assert shapes == [(min(per_call, n_cos - i) * n_phi,) for i in range(0, n_cos, per_call)]
+    nodes, _ = np.polynomial.legendre.leggauss(n_cos)
+    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    assert len(rows) == n_cos
+    for (theta, phi), x in zip(rows, nodes):
+        assert (theta == math.acos(x)).all()
+        assert np.array_equal(phi, phis)
 
 
 @PROPERTY
