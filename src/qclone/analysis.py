@@ -87,6 +87,10 @@ def fidelity_formula(n: int) -> float:
 #: 1 -> 4 cloner).
 _QUADRATURE_BLOCK = 256
 
+#: Bisection levels each batched call of ``inseparability_boundary`` decides
+#: (15 midpoints a search); deeper trees cost more than the calls they save.
+_BISECTION_LEVELS = 4
+
 
 @lru_cache(maxsize=None)
 def _legendre_rule(n_cos: int) -> tuple[np.ndarray, np.ndarray]:
@@ -290,25 +294,40 @@ class SeparabilityInterval:
 
 def inseparability_boundary(method: str, resolution: float = 1e-8) -> SeparabilityInterval:
     """Bisect for the alpha^2 boundaries where the cloned register pair
-    switches between separable and inseparable."""
+    switches between separable and inseparable; a resolution that is not
+    finite and positive raises ValueError.  Each pass decides the next
+    ``_BISECTION_LEVELS`` levels of both searches with one batched
+    ``register_clone`` call over every midpoint they may take, so the
+    result is bit for bit that of one midpoint at a time."""
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution}")
 
-    def inseparable(alpha2: float) -> bool:
-        sep, _ = ppt_separable(register_clone(method, math.sqrt(alpha2)))
-        return not sep
+    def inseparable(alpha2: np.ndarray) -> np.ndarray:
+        sep, _ = ppt_separable(register_clone(method, np.sqrt(alpha2)))
+        return ~sep
 
-    if not inseparable(0.5) or inseparable(0.0) or inseparable(1.0):
+    if inseparable(np.array([0.5, 0.0, 1.0])).tolist() != [True, False, False]:
         raise ArithmeticError("unexpected separability pattern; cannot bracket")
 
-    def bisect(sep_end: float, insep_end: float) -> float:
-        while abs(insep_end - sep_end) > resolution / 4.0:
-            mid = 0.5 * (sep_end + insep_end)
-            if inseparable(mid):
-                insep_end = mid
-            else:
-                sep_end = mid
-        return 0.5 * (sep_end + insep_end)
+    def wide(ends: tuple[float, float]) -> bool:
+        return abs(ends[1] - ends[0]) > resolution / 4.0
 
-    return SeparabilityInterval(lower=bisect(0.0, 0.5), upper=bisect(1.0, 0.5))
+    inner = 2 ** _BISECTION_LEVELS - 1
+    searches = [(0.0, 0.5), (1.0, 0.5)]  # (separable end, inseparable end): lower, upper
+    while any(map(wide, searches)):
+        # heap order: node j splits at its midpoint into 2j+1 (inseparable) and 2j+2 (separable)
+        trees = [[ends] for ends in searches]
+        for tree in trees:
+            for j in range(inner):
+                s, i = tree[j]
+                tree += [(s, 0.5 * (s + i)), (0.5 * (s + i), i)]
+        verdicts = inseparable(np.array([0.5 * (s + i) for tree in trees for s, i in tree[:inner]]))
+        for k, (tree, v) in enumerate(zip(trees, verdicts.reshape(len(trees), inner))):
+            j = 0
+            while j < inner and wide(tree[j]):
+                j = 2 * j + (1 if v[j] else 2)
+            searches[k] = tree[j]
+    return SeparabilityInterval(*(0.5 * (s + i) for s, i in searches))
 
 
 def register_pair_formula(method: str, alpha) -> DensityOperator:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qclone import analysis
 from qclone.analysis import (
     clone_pair_density_formula,
     extract_scaling_factor,
@@ -27,6 +28,7 @@ from qclone.cloners import (
     mdim_clone,
     mdim_coefficients,
     nonlocal_register_clone,
+    register_clone,
     uqcm_map,
 )
 from qclone.linalg import (
@@ -315,6 +317,64 @@ class TestRegisterAnalysis:
             inseparability_boundary("global")
         with pytest.raises(ValueError):
             register_pair_formula("global", 0.5)
+
+    @pytest.mark.parametrize("resolution", [float("nan"), float("inf"), 0.0, -1e-8])
+    def test_rejects_bad_resolution(self, monkeypatch, resolution):
+        """Rejected before any point is evaluated: NaN would stop the
+        bisection at once, and 0 or less would never stop it."""
+        calls = []
+        monkeypatch.setattr(analysis, "register_clone", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="resolution"):
+            inseparability_boundary("local", resolution)
+        assert calls == []
+
+
+def _sequential_boundary(method, resolution):
+    """Reference bisection: one scalar register_clone and ppt_separable
+    call per midpoint."""
+
+    def inseparable(alpha2):
+        sep, _ = ppt_separable(register_clone(method, math.sqrt(alpha2)))
+        return not sep
+
+    def bisect(sep_end, insep_end):
+        while abs(insep_end - sep_end) > resolution / 4.0:
+            mid = 0.5 * (sep_end + insep_end)
+            if inseparable(mid):
+                insep_end = mid
+            else:
+                sep_end = mid
+        return 0.5 * (sep_end + insep_end)
+
+    return bisect(0.0, 0.5), bisect(1.0, 0.5)
+
+
+class TestBatchedBisection:
+    @pytest.mark.parametrize("method", ["local", "nonlocal"])
+    @pytest.mark.parametrize("resolution", [1e-8, 1e-3, 0.3, 2.0, 1e-12])
+    def test_equals_sequential_bisection(self, method, resolution):
+        iv = inseparability_boundary(method, resolution)
+        assert (iv.lower, iv.upper) == _sequential_boundary(method, resolution)
+
+    @pytest.mark.parametrize("levels", range(1, 7))
+    def test_subtree_depth_leaves_result_unchanged(self, monkeypatch, levels):
+        expected = [inseparability_boundary(m) for m in ("local", "nonlocal")]
+        monkeypatch.setattr(analysis, "_BISECTION_LEVELS", levels)
+        assert [inseparability_boundary(m) for m in ("local", "nonlocal")] == expected
+
+    @pytest.mark.parametrize("method", ["local", "nonlocal"])
+    def test_batched_call_count(self, monkeypatch, method):
+        """At 1e-8 each search takes 28 levels: one bracket call of three
+        points, then 7 passes of 4 levels each."""
+        sizes = []
+
+        def counting(m, alpha):
+            sizes.append(np.size(alpha))
+            return register_clone(m, alpha)
+
+        monkeypatch.setattr(analysis, "register_clone", counting)
+        inseparability_boundary(method, 1e-8)
+        assert sizes == [3] + [30] * 7
 
 
 def test_bures_against_pure_shortcut():

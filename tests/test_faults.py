@@ -1,0 +1,66 @@
+"""Planted faults, each of which a named criterion must catch.
+
+Every entry of ``FAULTS`` patches one function in-process, names the
+criterion that must detect it and the row that must fail, and the test runs
+only that criterion.  A fault the criterion lets through fails the suite.
+"""
+import math
+
+import pytest
+
+from qclone import analysis, checks
+from qclone.linalg import DensityOperator
+
+LOCAL_ONSET = 0.5 - math.sqrt(39.0) / 16.0
+
+
+def _ppt_flipped_above_local_onset(monkeypatch):
+    """Peres-Horodecki verdict flipped for alpha^2 in a band 1e-5 wide just
+    above the local onset, which moves the onset the bisection finds."""
+    real = analysis.ppt_separable
+
+    def faulty(rho):
+        sep, w = real(rho)
+        alpha2 = (36.0 * rho.mat[..., 0, 0].real - 1.0) / 24.0  # local pair: (24 a^2 + 1)/36
+        return sep ^ ((LOCAL_ONSET <= alpha2) & (alpha2 < LOCAL_ONSET + 1e-5)), w
+
+    monkeypatch.setattr(analysis, "ppt_separable", faulty)
+
+
+def _register_corner_off(monkeypatch):
+    """Closed-form register pair with its |00><11| corner off by 1e-9."""
+    real = analysis.register_pair_formula
+
+    def faulty(method, alpha):
+        rho = real(method, alpha)
+        mat = rho.mat.copy()
+        mat[..., 0, 3] += 1e-9
+        mat[..., 3, 0] += 1e-9
+        return DensityOperator(rho.layout, mat)
+
+    monkeypatch.setattr(analysis, "register_pair_formula", faulty)
+
+
+#: (fault, criterion that must catch it, label of a row that must fail)
+FAULTS = [
+    (_ppt_flipped_above_local_onset, 10, "local inseparability onset (alpha^2)"),
+    (_register_corner_off, 10, "local pair density vs closed form (max dev)"),
+]
+
+
+def _run(criterion: int) -> checks.CriterionResult:
+    result = checks.ALL_CRITERIA[criterion - 1]()
+    assert result.index == criterion
+    return result
+
+
+@pytest.mark.parametrize("criterion", sorted({c for _, c, _ in FAULTS}))
+def test_detectors_pass_without_faults(criterion):
+    assert _run(criterion).passed
+
+
+@pytest.mark.parametrize("fault,criterion,label", FAULTS, ids=[f.__name__.strip("_") for f, _, _ in FAULTS])
+def test_fault_is_detected(monkeypatch, fault, criterion, label):
+    fault(monkeypatch)
+    failed = [r.label for r in _run(criterion).rows if not r.ok]
+    assert label in failed

@@ -608,17 +608,24 @@ def test_trusted_constructions_pass_validation(count, data):
 
 
 @PROPERTY
-@given(st.floats(-0.99, 0.99), st.floats(0.0, 1.0), st.integers(2, 64))
-def test_trusted_constructions_compound_edge_inputs(t, neg, d):
+@given(st.floats(-0.99, 0.99), st.floats(0.0, 1.0), st.integers(2, 64), st.integers(2, 8))
+def test_trusted_constructions_compound_edge_inputs(t, neg, d, d_square):
     """An input the constructor accepts at the edge of its tolerances gives
     derived objects whose error is the input error compounded, and no more:
     a product's trace is the product of the traces, and a marginal adds up
-    the negative eigenvalues it traces out, which can take it past -1e-10."""
-    diag = np.empty((2, d))
-    diag[0] = -neg * 1e-10
-    diag[1] = (1.0 + t * 1e-12 + d * neg * 1e-10) / d
-    rho = DensityOperator(SubsystemLayout((2, d)), np.diag(diag.reshape(-1)))
-    assert abs(np.trace(tensor(rho, rho).mat).real - (1.0 + t * 1e-12) ** 2) <= 1e-15
+    the negative eigenvalues it traces out, which can take it past -1e-10.
+    The tensor square is a dense (2d)^2 x (2d)^2 operator, so it is taken
+    at a dimension of its own, d_square <= 8."""
+
+    def edge_input(d):
+        diag = np.empty((2, d))
+        diag[0] = -neg * 1e-10
+        diag[1] = (1.0 + t * 1e-12 + d * neg * 1e-10) / d
+        return DensityOperator(SubsystemLayout((2, d)), np.diag(diag.reshape(-1)))
+
+    square = edge_input(d_square)
+    assert abs(np.trace(tensor(square, square).mat).real - (1.0 + t * 1e-12) ** 2) <= 1e-15
+    rho = edge_input(d)
     low = np.linalg.eigvalsh(partial_trace(rho, [0]).mat)[0]
     assert abs(low + d * neg * 1e-10) <= 1e-15
     assert_revalidates(partial_trace(rho, [1]))
