@@ -226,7 +226,7 @@ def idle_qubit_check(out: CloneOutput, q: BlochQubit):
     for j, d in enumerate(out.copier_dims):
         if d != 2:
             raise ValueError("idle-qubit law applies to qubit copier wires only")
-        got = out.idle_marginal(j).mat
+        got = reduced_density(out.joint, [out.clone_count + j]).mat
         worst = np.maximum(worst, np.abs(got - expected).max(axis=(-2, -1)))
     return worst if np.ndim(worst) else float(worst)
 

@@ -291,29 +291,13 @@ def criterion_mean_fidelity() -> CriterionResult:
     """Bloch-sphere quadrature of the simulated clone fidelity lands on
     (1 + s)/2 for the single-copy and multi-copy machines."""
 
-    def uqcm_marginal(q: BlochQubit):
-        return uqcm_map(q).clone_marginal(0)
-
-    def gm_marginal(n: int):
-        return lambda q: gisin_massar_map(q, n).clone_marginal(0)
-
-    rows = [
-        CheckRow(
-            "mean fidelity, 1->2 cloner",
-            analysis.fidelity_formula(1),
-            analysis.mean_fidelity(uqcm_marginal),
-            1e-6,
-        )
-    ]
-    for n in (2, 3):
-        rows.append(
-            CheckRow(
-                f"mean fidelity, n={n}",
-                analysis.fidelity_formula(n),
-                analysis.mean_fidelity(gm_marginal(n)),
-                1e-6,
-            )
-        )
+    rows = []
+    for label, n, marginal in (
+        ("mean fidelity, 1->2 cloner", 1, lambda q: uqcm_map(q).clone_marginal(0)),
+        ("mean fidelity, n=2", 2, lambda q: gisin_massar_map(q, 2).clone_marginal(0)),
+        ("mean fidelity, n=3", 3, lambda q: gisin_massar_map(q, 3).clone_marginal(0)),
+    ):
+        rows.append(CheckRow(label, analysis.fidelity_formula(n), analysis.mean_fidelity(marginal), 1e-6))
     return CriterionResult(11, "Bloch-sphere mean fidelity", tuple(rows))
 
 

@@ -1,8 +1,18 @@
 """Command-line interface: clone, reproduce, sweep, dump-circuit.
 
-Output format defaults to the QCLONE_FORMAT environment variable (json, csv
-or table), falling back to table.  All angles are radians.  Exit codes:
-0 success, 1 check failure, 2 usage error.
+Each choice is its own subcommand and owns its options, which follow it:
+
+    clone uqcm | clone gm N      --theta --phi --seed (explicit angles win)
+    clone mdim M                 --seed (default 0)
+    clone register-local | clone register-nonlocal    --alpha2 (default 0.5)
+    sweep mdim-scaling --m LO:HI | sweep gm-fidelity --n LO:HI
+    sweep register-negativity --alpha2 START:STOP:STEPS --method {local,nonlocal}
+    dump-circuit prep1 | dump-circuit copy [--n {1..8}]
+
+Every subcommand takes --output; clone also takes --format, which defaults
+to the QCLONE_FORMAT environment variable (json, csv or table), falling
+back to table.  All angles are radians.  Exit codes: 0 success, 1 check
+failure, 2 usage error.
 """
 from __future__ import annotations
 
@@ -23,14 +33,11 @@ from .report import report_gm, report_mdim, report_register, report_uqcm
 from .states import BlochQubit, haar_random_ket, random_bloch
 
 FORMATS = ("json", "csv", "table")
-QUBIT_KINDS = ("uqcm", "gm")
 REGISTER_KINDS = ("register-local", "register-nonlocal")
 
 
 def _default_format(parser: argparse.ArgumentParser) -> str:
-    env = os.environ.get("QCLONE_FORMAT")
-    if env is None:
-        return "table"
+    env = os.environ.get("QCLONE_FORMAT", "table")
     if env not in FORMATS:
         parser.error(f"QCLONE_FORMAT must be one of {FORMATS}, got {env!r}")
     return env
@@ -49,7 +56,7 @@ def _emit(text: str, path: str | None) -> None:
         raise SystemExit(2) from None
 
 
-def _parse_int_range(spec: str, parser: argparse.ArgumentParser, what: str) -> range:
+def _parse_int_range(spec: str, parser: argparse.ArgumentParser, what: str, floor: int) -> range:
     parts = spec.split(":")
     try:
         lo, hi = (int(p) for p in parts)
@@ -57,6 +64,8 @@ def _parse_int_range(spec: str, parser: argparse.ArgumentParser, what: str) -> r
         parser.error(f"{what} expects LO:HI, got {spec!r}")
     if lo > hi:
         parser.error(f"{what}: need LO <= HI, got {spec!r}")
+    if lo < floor:
+        parser.error(f"{what} values must be >= {floor}")
     return range(lo, hi + 1)
 
 
@@ -77,55 +86,34 @@ def _parse_grid(spec: str, parser: argparse.ArgumentParser, what: str) -> np.nda
 
 
 def _clone_report(args, parser: argparse.ArgumentParser):
-    kind = args.kind
-    if kind in QUBIT_KINDS or kind in REGISTER_KINDS:
-        if kind == "gm" and args.param is None:
-            parser.error("clone gm needs the clone count, e.g. clone gm 3")
-        if kind != "gm" and kind != "mdim" and args.param is not None:
-            parser.error(f"clone {kind} takes no extra parameter")
-    if kind == "mdim" and args.param is None:
-        parser.error("clone mdim needs the dimension, e.g. clone mdim 16")
-
-    if kind in QUBIT_KINDS:
-        if args.alpha2 is not None:
-            parser.error(f"--alpha2 applies to register cloners, not {kind}")
-        if args.theta is not None or args.phi is not None:
-            q = BlochQubit(
-                args.theta if args.theta is not None else math.pi / 2.0,
-                args.phi if args.phi is not None else 0.0,
-            )
-            seed = None
-        elif args.seed is not None:
-            q = random_bloch(args.seed)
-            seed = args.seed
-        else:
-            q = BlochQubit(math.pi / 2.0, 0.0)
-            seed = None
-        return report_uqcm(q, seed) if kind == "uqcm" else report_gm(q, args.param, seed)
-    elif kind == "mdim":
-        if args.theta is not None or args.phi is not None or args.alpha2 is not None:
-            parser.error("clone mdim takes its input from --seed only")
-        seed = args.seed if args.seed is not None else 0
-        return report_mdim(haar_random_ket(args.param, seed), seed)
-    else:  # register cloners
-        if args.theta is not None or args.phi is not None or args.seed is not None:
-            parser.error(f"clone {kind} takes its input from --alpha2 only")
-        alpha2 = args.alpha2 if args.alpha2 is not None else 0.5
-        if not 0.0 <= alpha2 <= 1.0:
-            parser.error(f"--alpha2 must lie in [0, 1], got {alpha2}")
-        return report_register(kind.removeprefix("register-"), math.sqrt(alpha2))
+    if args.kind == "mdim":
+        return report_mdim(haar_random_ket(args.param, args.seed), args.seed)
+    if args.kind in REGISTER_KINDS:
+        if not 0.0 <= args.alpha2 <= 1.0:
+            parser.error(f"--alpha2 must lie in [0, 1], got {args.alpha2}")
+        return report_register(args.kind.removeprefix("register-"), math.sqrt(args.alpha2))
+    # qubit cloners: explicit angles win over --seed
+    if args.theta is None and args.phi is None and args.seed is not None:
+        q, seed = random_bloch(args.seed), args.seed
+    else:
+        q, seed = BlochQubit(
+            args.theta if args.theta is not None else math.pi / 2.0,
+            args.phi if args.phi is not None else 0.0,
+        ), None
+    return report_uqcm(q, seed) if args.kind == "uqcm" else report_gm(q, args.param, seed)
 
 
 def cmd_clone(args, parser: argparse.ArgumentParser) -> int:
+    fmt = args.format or _default_format(parser)
     try:
         rep = _clone_report(args, parser)
     except ValueError as exc:
         # the library owns the valid ranges (clone count, dimension, angles,
         # seed) and raises ValueError for a value outside them
         parser.error(f"clone {args.kind}: {exc}")
-    if args.format == "json":
+    if fmt == "json":
         _emit(rep.to_json(), args.output)
-    elif args.format == "csv":
+    elif fmt == "csv":
         _emit(rep.to_csv(), args.output)
     else:
         _emit(rep.to_table(), args.output)
@@ -155,34 +143,23 @@ def cmd_reproduce(args, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
-    rows = []
     if args.name == "mdim-scaling":
-        if args.m is None:
-            parser.error("sweep mdim-scaling needs --m LO:HI")
-        rows.append("m,scaling_factor,bures,entropy_clone,entropy_copier")
-        for m in _parse_int_range(args.m, parser, "--m"):
-            if m < 2:
-                parser.error("--m values must be >= 2")
+        rows = ["m,scaling_factor,bures,entropy_clone,entropy_copier"]
+        for m in _parse_int_range(args.m, parser, "--m", 2):
             f = mdim_formulas(m)
             rows.append(
                 f"{m},{f.scaling:.12g},{f.bures:.12g},"
                 f"{f.entropy_clone:.12g},{f.entropy_copier:.12g}"
             )
     elif args.name == "gm-fidelity":
-        if args.n is None:
-            parser.error("sweep gm-fidelity needs --n LO:HI")
-        rows.append("n,scaling_factor,fidelity")
-        for n in _parse_int_range(args.n, parser, "--n"):
-            if n < 1:
-                parser.error("--n values must be >= 1")
+        rows = ["n,scaling_factor,fidelity"]
+        for n in _parse_int_range(args.n, parser, "--n", 1):
             rows.append(f"{n},{scaling_factor_formula(n):.12g},{fidelity_formula(n):.12g}")
-    elif args.name == "register-negativity":
-        if args.alpha2 is None or args.method is None:
-            parser.error("sweep register-negativity needs --alpha2 START:STOP:STEPS and --method")
+    else:  # register-negativity
         grid = _parse_grid(args.alpha2, parser, "--alpha2")
         if grid[0] < 0.0 or grid[-1] > 1.0:
             parser.error(f"--alpha2 grid must lie in [0, 1], got {args.alpha2!r}")
-        rows.append("alpha2,min_pt_eigenvalue,separable")
+        rows = ["alpha2,min_pt_eigenvalue,separable"]
         # both register cloners build 64-amplitude joint states
         size = _BATCH_AMPS // 64
         for k in range(0, len(grid), size):
@@ -190,23 +167,13 @@ def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
             sep, min_eig = ppt_separable(register_clone(args.method, np.sqrt(a2)))
             for x, e, ok in zip(a2.tolist(), min_eig.tolist(), sep.tolist()):
                 rows.append(f"{x:.12g},{e:.12g},{str(ok).lower()}")
-    else:  # unreachable through argparse choices
-        parser.error(f"unknown sweep {args.name!r}")
     _emit("\n".join(rows) + "\n", args.output)
     return 0
 
 
 def cmd_dump_circuit(args, parser: argparse.ArgumentParser) -> int:
-    if args.which == "prep1":
-        if args.n is not None:
-            parser.error("dump-circuit prep1 takes no --n")
-        text = circuit_to_text(build_prep_circuit_1())
-    else:
-        n = args.n if args.n is not None else 1
-        if not 1 <= n <= 8:
-            parser.error("--n must lie in 1..8")
-        text = circuit_to_text(build_copy_stage(n))
-    _emit(text, args.output)
+    circuit = build_prep_circuit_1() if args.which == "prep1" else build_copy_stage(args.n)
+    _emit(circuit_to_text(circuit), args.output)
     return 0
 
 
@@ -218,33 +185,47 @@ def build_parser() -> argparse.ArgumentParser:
         description="Universal quantum cloning: simulate, verify, export.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options shared by several subcommands; each goes after the choice it
+    # qualifies, e.g. ``clone gm 3 --seed 7``
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write to this file instead of stdout")
+    report = argparse.ArgumentParser(add_help=False, parents=[output])
+    report.add_argument("--format", choices=FORMATS, default=None)
+    qubit = argparse.ArgumentParser(add_help=False, parents=[report])
+    qubit.add_argument("--theta", type=float, help="input polar angle (radians)")
+    qubit.add_argument("--phi", type=float, help="input azimuthal angle (radians)")
+    qubit.add_argument("--seed", type=int, help="draw the input state from this seed")
 
     p_clone = sub.add_parser("clone", help="run one cloner and print its report")
-    p_clone.add_argument("kind", choices=("uqcm", "gm", "mdim") + REGISTER_KINDS)
-    p_clone.add_argument("param", nargs="?", type=int, default=None,
-                         help="clone count for gm, dimension for mdim")
-    p_clone.add_argument("--theta", type=float, help="input polar angle (radians)")
-    p_clone.add_argument("--phi", type=float, help="input azimuthal angle (radians)")
-    p_clone.add_argument("--alpha2", type=float, help="register weight on |00>")
-    p_clone.add_argument("--seed", type=int, help="draw the input state from this seed")
-    p_clone.add_argument("--format", choices=FORMATS, default=None)
-    p_clone.add_argument("--output", help="write to this file instead of stdout")
+    kinds = p_clone.add_subparsers(dest="kind", required=True)
+    kinds.add_parser("uqcm", parents=[qubit], help="1 -> 2 qubit cloner")
+    p_gm = kinds.add_parser("gm", parents=[qubit], help="1 -> N+1 qubit cloner")
+    p_gm.add_argument("param", metavar="N", type=int, help="clone count N, 1..8")
+    p_mdim = kinds.add_parser("mdim", parents=[report], help="1 -> 2 cloner in M dimensions")
+    p_mdim.add_argument("param", metavar="M", type=int, help="dimension M, 2..64")
+    p_mdim.add_argument("--seed", type=int, default=0, help="draw the input state from this seed (default 0)")
+    for kind in REGISTER_KINDS:
+        p_reg = kinds.add_parser(kind, parents=[report], help=f"{kind.removeprefix('register-')} two-qubit register cloner")
+        p_reg.add_argument("--alpha2", type=float, default=0.5, help="register weight on |00> (default 0.5)")
 
-    p_rep = sub.add_parser("reproduce", help="verify every published value; exit 1 on any miss")
-    p_rep.add_argument("--output", help="write to this file instead of stdout")
+    sub.add_parser("reproduce", parents=[output], help="verify every published value; exit 1 on any miss")
 
     p_sweep = sub.add_parser("sweep", help="emit a CSV over a parameter range")
-    p_sweep.add_argument("name", choices=("mdim-scaling", "gm-fidelity", "register-negativity"))
-    p_sweep.add_argument("--m", help="integer range LO:HI")
-    p_sweep.add_argument("--n", help="integer range LO:HI")
-    p_sweep.add_argument("--alpha2", help="grid START:STOP:STEPS")
-    p_sweep.add_argument("--method", choices=("local", "nonlocal"))
-    p_sweep.add_argument("--output", help="write to this file instead of stdout")
+    sweeps = p_sweep.add_subparsers(dest="name", required=True)
+    p = sweeps.add_parser("mdim-scaling", parents=[output], help="M-dimensional closed forms")
+    p.add_argument("--m", required=True, help="integer range LO:HI")
+    p = sweeps.add_parser("gm-fidelity", parents=[output], help="1 -> N+1 scaling factor and fidelity")
+    p.add_argument("--n", required=True, help="integer range LO:HI")
+    p = sweeps.add_parser("register-negativity", parents=[output], help="register PT test over alpha^2")
+    p.add_argument("--alpha2", required=True, help="grid START:STOP:STEPS")
+    p.add_argument("--method", required=True, choices=("local", "nonlocal"))
 
     p_dump = sub.add_parser("dump-circuit", help="print a circuit in the text format")
-    p_dump.add_argument("which", choices=("prep1", "copy"))
-    p_dump.add_argument("--n", type=int, help="clone count for the copy stage")
-    p_dump.add_argument("--output", help="write to this file instead of stdout")
+    circuits = p_dump.add_subparsers(dest="which", required=True)
+    circuits.add_parser("prep1", parents=[output], help="two-qubit preparation circuit")
+    p = circuits.add_parser("copy", parents=[output], help="copy stage of the 1 -> N+1 network")
+    p.add_argument("--n", type=int, choices=range(1, 9), default=1, metavar="{1..8}",
+                   help="clone count for the copy stage")
 
     return parser
 
@@ -252,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "format", None) is None and args.command == "clone":
-        args.format = _default_format(parser)
     if args.command == "clone":
         return cmd_clone(args, parser)
     if args.command == "reproduce":

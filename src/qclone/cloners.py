@@ -29,21 +29,21 @@ class CloneOutput:
     """Joint pure output of a cloner.
 
     The first ``clone_count`` subsystems of ``joint`` are the clones (equal
-    dimensions); the remaining ``copier_dims`` subsystems belong to the
-    copying machine.
+    dimensions); the remaining subsystems, of dimensions ``copier_dims``,
+    belong to the copying machine.
     """
 
     joint: StateVector
     clone_count: int
-    copier_dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "copier_dims", tuple(self.copier_dims))
-        dims = self.joint.layout.dims
-        if self.clone_count < 1 or self.clone_count + len(self.copier_dims) != len(dims):
-            raise ValueError("clone_count and copier_dims do not cover the joint layout")
-        if dims[self.clone_count:] != self.copier_dims:
-            raise ValueError("copier_dims disagree with the joint layout")
+        if not 1 <= self.clone_count < len(self.joint.layout):
+            raise ValueError("clone_count must leave at least one clone and one copier subsystem")
+
+    @property
+    def copier_dims(self) -> tuple[int, ...]:
+        """Dimensions of the copier subsystems, in wire order."""
+        return self.joint.layout.dims[self.clone_count:]
 
     def clone_marginal(self, i: int) -> DensityOperator:
         """Reduced state of clone ``i``."""
@@ -61,12 +61,6 @@ class CloneOutput:
         """Reduced state of the whole copying machine."""
         k = len(self.joint.layout)
         return reduced_density(self.joint, list(range(self.clone_count, k)))
-
-    def idle_marginal(self, j: int) -> DensityOperator:
-        """Reduced state of the j-th copier subsystem alone."""
-        if not 0 <= j < len(self.copier_dims):
-            raise ValueError(f"copier index {j} out of range")
-        return reduced_density(self.joint, [self.clone_count + j])
 
 
 @lru_cache(maxsize=None)
@@ -101,7 +95,7 @@ def uqcm_map(q: BlochQubit) -> CloneOutput:
     joint outputs.
     """
     joint = _trusted(StateVector, layout=_UQCM_LAYOUT, amps=_linear_image(q, _uqcm_columns()))
-    return CloneOutput(joint=joint, clone_count=2, copier_dims=(2,))
+    return CloneOutput(joint=joint, clone_count=2)
 
 
 @lru_cache(maxsize=None)
@@ -136,7 +130,7 @@ def gisin_massar_map(q: BlochQubit, n: int) -> CloneOutput:
     if not 1 <= n <= 8:
         raise ValueError(f"clone count is limited to 1 <= n <= 8, got {n}")
     joint = _trusted(StateVector, layout=_gm_layout(n), amps=_linear_image(q, _gm_columns(n)))
-    return CloneOutput(joint=joint, clone_count=n + 1, copier_dims=(2,) * n)
+    return CloneOutput(joint=joint, clone_count=n + 1)
 
 
 @dataclass(frozen=True)
@@ -190,7 +184,7 @@ def mdim_clone(phi: StateVector) -> CloneOutput:
     amps = phi.amps
     out = np.zeros(amps.shape[:-1] + (m**3,), dtype=np.complex128)
     out[..., target] = weight * amps[..., source]
-    return CloneOutput(joint=_trusted(StateVector, layout=layout, amps=out), clone_count=2, copier_dims=(m,))
+    return CloneOutput(joint=_trusted(StateVector, layout=layout, amps=out), clone_count=2)
 
 
 @lru_cache(maxsize=None)

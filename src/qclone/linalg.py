@@ -95,9 +95,6 @@ class SubsystemLayout:
     def __len__(self) -> int:
         return len(self.dims)
 
-    def concat(self, other: "SubsystemLayout") -> "SubsystemLayout":
-        return SubsystemLayout(self.dims + other.dims)
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
@@ -188,11 +185,11 @@ def tensor(a, b):
     """
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         amps = a.amps[..., :, None] * b.amps[..., None, :]
-        return _trusted(StateVector, layout=a.layout.concat(b.layout), amps=amps.reshape(amps.shape[:-2] + (-1,)))
+        return _trusted(StateVector, layout=SubsystemLayout(a.layout.dims + b.layout.dims), amps=amps.reshape(amps.shape[:-2] + (-1,)))
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
         mat = a.mat[..., :, None, :, None] * b.mat[..., None, :, None, :]
         d = a.dim * b.dim
-        return _trusted(DensityOperator, layout=a.layout.concat(b.layout), mat=mat.reshape(mat.shape[:-4] + (d, d)))
+        return _trusted(DensityOperator, layout=SubsystemLayout(a.layout.dims + b.layout.dims), mat=mat.reshape(mat.shape[:-4] + (d, d)))
     raise TypeError("tensor expects two StateVectors or two DensityOperators")
 
 

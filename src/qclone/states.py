@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DensityOperator, StateVector, SubsystemLayout, _freeze, _inner, _trusted
+from .linalg import StateVector, SubsystemLayout, _freeze, _inner, _trusted
 
 
 @dataclass(frozen=True)
@@ -64,23 +64,13 @@ class SymmetricIndex:
 _QUBIT = SubsystemLayout((2,))
 
 
-def _qubit_ket(alpha, beta) -> StateVector:
-    amps = np.empty(np.shape(alpha) + (2,), dtype=np.complex128)
-    amps[..., 0] = alpha
-    amps[..., 1] = beta
-    return _trusted(StateVector, layout=_QUBIT, amps=amps)
-
-
 def bloch_ket(q: BlochQubit) -> StateVector:
     """Single-qubit ket for the given polar angles; a batched BlochQubit
     gives the (K, 2) batch of kets."""
-    return _qubit_ket(np.sin(q.theta / 2.0) * np.exp(1j * q.phi), np.cos(q.theta / 2.0))
-
-
-def orthogonal_ket(q: BlochQubit) -> StateVector:
-    """The unique (up to phase) ket orthogonal to bloch_ket(q)."""
-    amps = bloch_ket(q).amps
-    return _qubit_ket(amps[..., 1].conj(), -amps[..., 0].conj())
+    amps = np.empty(np.shape(q.theta) + (2,), dtype=np.complex128)
+    amps[..., 0] = np.sin(q.theta / 2.0) * np.exp(1j * q.phi)
+    amps[..., 1] = np.cos(q.theta / 2.0)
+    return _trusted(StateVector, layout=_QUBIT, amps=amps)
 
 
 def register_ket(alpha) -> StateVector:
@@ -144,21 +134,6 @@ def prep_state(n: int) -> StateVector:
     return _trusted(StateVector, layout=SubsystemLayout((2,) * (2 * n)), amps=amps)
 
 
-def scaled_state(ideal: DensityOperator, s: float) -> DensityOperator:
-    """Shrink toward the maximally mixed state: s*rho + (1-s)/d * identity."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"scaling factor must lie in [0, 1], got {s!r}")
-    d = ideal.dim
-    mat = s * ideal.mat + (1.0 - s) / d * np.eye(d)
-    return _trusted(DensityOperator, layout=ideal.layout, mat=mat)
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def haar_random_ket(dim: int, seed, count: int | None = None) -> StateVector:
     """Haar-distributed pure state: a normalized standard complex Gaussian
     vector.  ``seed`` is an int (deterministic) or a Generator (streamed).
@@ -168,7 +143,7 @@ def haar_random_ket(dim: int, seed, count: int | None = None) -> StateVector:
         raise ValueError(f"need dim >= 2, got {dim}")
     if count is not None and count < 1:
         raise ValueError("a batch needs at least one state")
-    g = _as_rng(seed).standard_normal((1 if count is None else count, 2, dim))
+    g = np.random.default_rng(seed).standard_normal((1 if count is None else count, 2, dim))
     z = g[:, 0] + 1j * g[:, 1]  # per ket: dim real parts, then dim imaginary parts
     # the sum np.linalg.norm takes for one vector, so no row depends on the batch
     norm = np.sqrt(_inner(z.real, z.real) + _inner(z.imag, z.imag))
@@ -180,7 +155,7 @@ def random_bloch(seed, count: int | None = None) -> BlochQubit:
     """Haar-random qubit as polar angles: cos(theta) uniform on [-1, 1],
     phi uniform on [0, 2*pi).  With ``count``, the batch of the ``count``
     qubits that as many streamed calls draw."""
-    draws = _as_rng(seed).uniform([-1.0, 0.0], [1.0, 2.0 * math.pi], size=(1 if count is None else count, 2))
+    draws = np.random.default_rng(seed).uniform([-1.0, 0.0], [1.0, 2.0 * math.pi], size=(1 if count is None else count, 2))
     # math.acos per entry: np.arccos can differ from it in the last bit
     theta = [math.acos(c) for c in draws[:, 0].tolist()]
     # guard the half-open interval

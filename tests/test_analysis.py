@@ -41,7 +41,7 @@ from qclone.linalg import (
     reduced_density,
     von_neumann_entropy,
 )
-from qclone.states import BlochQubit, bloch_ket, haar_random_ket, random_bloch, scaled_state
+from qclone.states import BlochQubit, bloch_ket, haar_random_ket, random_bloch
 
 # Values frozen from the closed forms, never recomputed by the assertions
 # they feed: scaling and fidelity of the single-copy machine, the copier
@@ -64,7 +64,9 @@ class TestScalingExtraction:
     def test_recovers_synthetic_scaling(self):
         ideal = outer(bloch_ket(BlochQubit(0.7, 1.9)))
         for s in (0.0, 0.25, 2 / 3, 1.0):
-            fit = extract_scaling_factor(scaled_state(ideal, s), ideal)
+            # s*rho + (1-s)/2 * identity, through the validating constructor
+            scaled = DensityOperator(ideal.layout, s * ideal.mat + (1.0 - s) / 2.0 * np.eye(2))
+            fit = extract_scaling_factor(scaled, ideal)
             np.testing.assert_allclose(fit.s, s, atol=1e-14)
             assert fit.fits
 

@@ -68,6 +68,8 @@ def test_clone_csv_and_table(capsys):
         ("clone", "register-local", "--seed", "3"),       # seed on register
         ("clone", "register-local", "--alpha2", "1.5"),   # out of range
         ("sweep", "mdim-scaling"),                        # missing --m
+        ("sweep", "gm-fidelity", "--n", "1:3", "--m", "2:4"),      # --m on gm-fidelity
+        ("sweep", "mdim-scaling", "--m", "2:3", "--method", "local"),  # --method on mdim-scaling
         ("sweep", "mdim-scaling", "--m", "5:2"),          # inverted range
         ("sweep", "mdim-scaling", "--m", "1:4"),          # below the floor
         ("sweep", "register-negativity", "--alpha2", "0:1:5"),  # missing method

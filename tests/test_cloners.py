@@ -13,8 +13,8 @@ from qclone.cloners import (
     register_clone,
     uqcm_map,
 )
-from qclone.linalg import StateVector, SubsystemLayout
-from qclone.states import BlochQubit, bloch_ket, haar_random_ket, orthogonal_ket, random_bloch
+from qclone.linalg import StateVector, SubsystemLayout, reduced_density
+from qclone.states import BlochQubit, bloch_ket, haar_random_ket, random_bloch
 
 
 class TestUqcm:
@@ -62,9 +62,9 @@ class TestGisinMassar:
         q = random_bloch(3)
         for n in (1, 2, 3):
             a = gisin_massar_map(q, n).joint.amps
-            # same map applied to the orthogonal input
-            qo = orthogonal_ket(q)
-            alpha, beta = qo.amps
+            # same map applied to the orthogonal input conj(b)|0> - conj(a)|1>
+            qa, qb = bloch_ket(q).amps
+            alpha, beta = StateVector(SubsystemLayout((2,)), [qb.conjugate(), -qa.conjugate()]).amps
             from qclone.cloners import _gm_columns
 
             col0, col1 = _gm_columns(n)
@@ -136,15 +136,14 @@ class TestMdim:
 class TestCloneOutput:
     def test_validates_split(self):
         psi = StateVector(SubsystemLayout((2, 2, 2)), [1, 0, 0, 0, 0, 0, 0, 0])
-        with pytest.raises(ValueError):
-            CloneOutput(joint=psi, clone_count=3, copier_dims=(2,))
-        with pytest.raises(ValueError):
-            CloneOutput(joint=psi, clone_count=2, copier_dims=(4,))
+        for clone_count in (0, 3):
+            with pytest.raises(ValueError):
+                CloneOutput(joint=psi, clone_count=clone_count)
 
     def test_marginal_helpers_agree(self):
         out = uqcm_map(BlochQubit(0.8, 0.3))
         np.testing.assert_allclose(
-            out.copier_marginal().mat, out.idle_marginal(0).mat, atol=1e-15
+            out.copier_marginal().mat, reduced_density(out.joint, [2]).mat, atol=1e-15
         )
         pair = out.pair_marginal(0, 1)
         assert pair.layout.dims == (2, 2)

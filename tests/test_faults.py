@@ -1,7 +1,7 @@
 """Planted faults, each of which a named criterion must catch.
 
 Every entry of ``FAULTS`` patches one function in-process, names the
-criterion that must detect it and the row that must fail, and the test runs
+criterion that must detect it and the rows that must fail, and the test runs
 only that criterion.  A fault the criterion lets through fails the suite.
 """
 import math
@@ -41,10 +41,38 @@ def _register_corner_off(monkeypatch):
     monkeypatch.setattr(analysis, "register_pair_formula", faulty)
 
 
-#: (fault, criterion that must catch it, label of a row that must fail)
+def _marginal_transposed(monkeypatch):
+    """Single-wire marginals the idle-qubit law reads come back transposed,
+    as from a partial trace that forgets to conjugate."""
+    real = analysis.reduced_density
+
+    def faulty(psi, keep):
+        rho = real(psi, keep)
+        return DensityOperator(rho.layout, rho.mat.swapaxes(-1, -2))
+
+    monkeypatch.setattr(analysis, "reduced_density", faulty)
+
+
+def _quadrature_weights_high(monkeypatch):
+    """Gauss-Legendre weights scaled by 1 + 1e-5, so every mean fidelity
+    comes out about 8e-6 high against a tolerance of 1e-6.  This is the
+    smallest decade the rows catch: scaled by 1 + 1e-6, all three rows
+    still pass, although the quadrature is exact to rounding."""
+    real = analysis._legendre_rule
+
+    def faulty(n_cos):
+        thetas, weights = real(n_cos)
+        return thetas, weights * (1.0 + 1e-5)
+
+    monkeypatch.setattr(analysis, "_legendre_rule", faulty)
+
+
+#: (fault, criterion that must catch it, labels of rows that must fail)
 FAULTS = [
-    (_ppt_flipped_above_local_onset, 10, "local inseparability onset (alpha^2)"),
-    (_register_corner_off, 10, "local pair density vs closed form (max dev)"),
+    (_ppt_flipped_above_local_onset, 10, ("local inseparability onset (alpha^2)",)),
+    (_register_corner_off, 10, ("local pair density vs closed form (max dev)",)),
+    (_marginal_transposed, 5, tuple(f"max idle-qubit deviation, n={n}" for n in range(1, 6))),
+    (_quadrature_weights_high, 11, ("mean fidelity, 1->2 cloner", "mean fidelity, n=2", "mean fidelity, n=3")),
 ]
 
 
@@ -59,8 +87,8 @@ def test_detectors_pass_without_faults(criterion):
     assert _run(criterion).passed
 
 
-@pytest.mark.parametrize("fault,criterion,label", FAULTS, ids=[f.__name__.strip("_") for f, _, _ in FAULTS])
-def test_fault_is_detected(monkeypatch, fault, criterion, label):
+@pytest.mark.parametrize("fault,criterion,labels", FAULTS, ids=[f.__name__.strip("_") for f, _, _ in FAULTS])
+def test_fault_is_detected(monkeypatch, fault, criterion, labels):
     fault(monkeypatch)
     failed = [r.label for r in _run(criterion).rows if not r.ok]
-    assert label in failed
+    assert set(labels) <= set(failed)

@@ -37,7 +37,6 @@ class TestLayout:
         lay = SubsystemLayout((2, 3, 4))
         assert lay.total == 24
         assert len(lay) == 3
-        assert lay.concat(SubsystemLayout((5,))).dims == (2, 3, 4, 5)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):

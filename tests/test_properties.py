@@ -40,10 +40,8 @@ from qclone.states import (
     SymmetricIndex,
     bloch_ket,
     haar_random_ket,
-    orthogonal_ket,
     prep_state,
     register_ket,
-    scaled_state,
     symmetric_basis_ket,
 )
 
@@ -584,12 +582,10 @@ def test_trusted_constructions_pass_validation(count, data):
     pair = tensor(outer(ket), reg)
     outputs = [
         ket,
-        orthogonal_ket(q),
         register_ket(alpha),
         symmetric_basis_ket(SymmetricIndex(n, data.draw(st.integers(0, n)))),
         prep_state(n),
         haar_random_ket(m, seed, count),
-        scaled_state(outer(ket), data.draw(st.floats(0.0, 1.0))),
         tensor(ket, register_ket(alpha)),
         pair,
         partial_trace(pair, data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))),

@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from qclone.linalg import outer, purity
+from qclone.linalg import StateVector, SubsystemLayout
 from qclone.states import (
     BlochQubit,
     SymmetricIndex,
     bloch_ket,
     haar_random_ket,
-    orthogonal_ket,
     prep_state,
     random_bloch,
     register_ket,
-    scaled_state,
     symmetric_basis_ket,
 )
 
@@ -47,7 +45,10 @@ class TestBlochQubit:
         q = BlochQubit(theta, np.zeros(2))
         theta[0] = 9.0
         assert q.theta[0] == 0.5 and not q.theta.flags.writeable
-        overlaps = (orthogonal_ket(q).amps.conj() * bloch_ket(q).amps).sum(axis=1)
+        kets = bloch_ket(q).amps
+        # each ket's orthogonal partner conj(b)|0> - conj(a)|1>
+        partners = StateVector(SubsystemLayout((2,)), np.stack([kets[:, 1].conj(), -kets[:, 0].conj()], axis=1))
+        overlaps = (partners.amps.conj() * kets).sum(axis=1)
         np.testing.assert_allclose(overlaps, 0, atol=1e-15)
 
     def test_poles(self):
@@ -60,16 +61,6 @@ class TestBlochQubit:
         amps = bloch_ket(q).amps
         np.testing.assert_allclose(amps[0], math.sin(0.55) * np.exp(2.3j), atol=1e-15)
         np.testing.assert_allclose(amps[1], math.cos(0.55), atol=1e-15)
-
-
-def test_orthogonal_ket():
-    for seed in range(5):
-        q = random_bloch(seed)
-        a = bloch_ket(q).amps
-        b = orthogonal_ket(q).amps
-        np.testing.assert_allclose(np.vdot(a, b), 0.0, atol=1e-15)
-        np.testing.assert_allclose(np.vdot(b, b).real, 1.0, atol=1e-15)
-        np.testing.assert_allclose(b, [a[1].conj(), -a[0].conj()], atol=1e-15)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, math.sqrt(0.3)])
@@ -149,17 +140,6 @@ class TestPrepState:
     def test_bounds(self):
         with pytest.raises(ValueError):
             prep_state(0)
-
-
-def test_scaled_state():
-    q = BlochQubit(0.9, 0.4)
-    ideal = outer(bloch_ket(q))
-    rho = scaled_state(ideal, 2 / 3)
-    np.testing.assert_allclose(rho.mat, 2 / 3 * ideal.mat + np.eye(2) / 6, atol=1e-15)
-    np.testing.assert_allclose(scaled_state(ideal, 1.0).mat, ideal.mat, atol=1e-15)
-    np.testing.assert_allclose(purity(scaled_state(ideal, 0.0)), 0.5, atol=1e-14)
-    with pytest.raises(ValueError):
-        scaled_state(ideal, 1.2)
 
 
 def test_haar_random_ket_deterministic():
