@@ -32,9 +32,6 @@ from .linalg import (
 )
 from .states import BlochQubit, bloch_ket, register_ket
 
-#: residual threshold for declaring that an output fits the scaled form
-SCALED_FORM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ScalingFit:
@@ -43,10 +40,6 @@ class ScalingFit:
 
     s: float
     residual: float
-
-    @property
-    def fits(self) -> bool:
-        return self.residual <= SCALED_FORM_TOL
 
 
 def extract_scaling_factor(rho_out: DensityOperator, rho_id: DensityOperator) -> ScalingFit:
@@ -249,7 +242,6 @@ def purity_xi_simulated(out: CloneOutput):
 class MdimFormulas:
     """Closed-form predictions for the M-dimensional cloner."""
 
-    m: int
     scaling: float
     bures: float
     entropy_clone: float
@@ -268,7 +260,7 @@ def mdim_formulas(m: int) -> MdimFormulas:
     s_clone = math.log(2.0 * (m + 1.0)) - (m + 3.0) / (2.0 * (m + 1.0)) * math.log(m + 3.0)
     s_copier = math.log(m + 1.0) - 2.0 * math.log(2.0) / (m + 1.0)
     return MdimFormulas(
-        m=m, scaling=s, bures=bures, entropy_clone=s_clone, entropy_copier=s_copier
+        scaling=s, bures=bures, entropy_clone=s_clone, entropy_copier=s_copier
     )
 
 

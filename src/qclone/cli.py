@@ -13,6 +13,11 @@ Every subcommand takes --output; clone also takes --format, which defaults
 to the QCLONE_FORMAT environment variable (json, csv or table), falling
 back to table.  All angles are radians.  Exit codes: 0 success, 1 check
 failure, 2 usage error.
+
+Each leaf subparser names its command function and itself in its defaults
+(``run`` and ``parser``; ``reproduce`` needs only ``run``), so ``main``
+calls ``args.run(args)`` and a command reports a usage error through
+``args.parser``, with its own subcommand's usage line.
 """
 from __future__ import annotations
 
@@ -34,13 +39,6 @@ from .states import BlochQubit, haar_random_ket, random_bloch
 
 FORMATS = ("json", "csv", "table")
 REGISTER_KINDS = ("register-local", "register-nonlocal")
-
-
-def _default_format(parser: argparse.ArgumentParser) -> str:
-    env = os.environ.get("QCLONE_FORMAT", "table")
-    if env not in FORMATS:
-        parser.error(f"QCLONE_FORMAT must be one of {FORMATS}, got {env!r}")
-    return env
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -85,12 +83,12 @@ def _parse_grid(spec: str, parser: argparse.ArgumentParser, what: str) -> np.nda
     return np.linspace(start, stop, steps)
 
 
-def _clone_report(args, parser: argparse.ArgumentParser):
+def _clone_report(args):
     if args.kind == "mdim":
         return report_mdim(haar_random_ket(args.param, args.seed), args.seed)
     if args.kind in REGISTER_KINDS:
         if not 0.0 <= args.alpha2 <= 1.0:
-            parser.error(f"--alpha2 must lie in [0, 1], got {args.alpha2}")
+            args.parser.error(f"--alpha2 must lie in [0, 1], got {args.alpha2}")
         return report_register(args.kind.removeprefix("register-"), math.sqrt(args.alpha2))
     # qubit cloners: explicit angles win over --seed
     if args.theta is None and args.phi is None and args.seed is not None:
@@ -103,14 +101,17 @@ def _clone_report(args, parser: argparse.ArgumentParser):
     return report_uqcm(q, seed) if args.kind == "uqcm" else report_gm(q, args.param, seed)
 
 
-def cmd_clone(args, parser: argparse.ArgumentParser) -> int:
-    fmt = args.format or _default_format(parser)
+def cmd_clone(args) -> int:
+    # argparse has checked a --format flag; the environment default is checked here
+    fmt = args.format or os.environ.get("QCLONE_FORMAT", "table")
+    if fmt not in FORMATS:
+        args.parser.error(f"QCLONE_FORMAT must be one of {FORMATS}, got {fmt!r}")
     try:
-        rep = _clone_report(args, parser)
+        rep = _clone_report(args)
     except ValueError as exc:
         # the library owns the valid ranges (clone count, dimension, angles,
         # seed) and raises ValueError for a value outside them
-        parser.error(f"clone {args.kind}: {exc}")
+        args.parser.error(str(exc))
     if fmt == "json":
         _emit(rep.to_json(), args.output)
     elif fmt == "csv":
@@ -120,7 +121,7 @@ def cmd_clone(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def cmd_reproduce(args, parser: argparse.ArgumentParser) -> int:
+def cmd_reproduce(args) -> int:
     results = checks.run_all()
     lines = []
     width = max(len(r.label) for c in results for r in c.rows) + 2
@@ -142,10 +143,10 @@ def cmd_reproduce(args, parser: argparse.ArgumentParser) -> int:
     return 0 if ok else 1
 
 
-def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
+def cmd_sweep(args) -> int:
     if args.name == "mdim-scaling":
         rows = ["m,scaling_factor,bures,entropy_clone,entropy_copier"]
-        for m in _parse_int_range(args.m, parser, "--m", 2):
+        for m in _parse_int_range(args.m, args.parser, "--m", 2):
             f = mdim_formulas(m)
             rows.append(
                 f"{m},{f.scaling:.12g},{f.bures:.12g},"
@@ -153,12 +154,12 @@ def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
             )
     elif args.name == "gm-fidelity":
         rows = ["n,scaling_factor,fidelity"]
-        for n in _parse_int_range(args.n, parser, "--n", 1):
+        for n in _parse_int_range(args.n, args.parser, "--n", 1):
             rows.append(f"{n},{scaling_factor_formula(n):.12g},{fidelity_formula(n):.12g}")
     else:  # register-negativity
-        grid = _parse_grid(args.alpha2, parser, "--alpha2")
+        grid = _parse_grid(args.alpha2, args.parser, "--alpha2")
         if grid[0] < 0.0 or grid[-1] > 1.0:
-            parser.error(f"--alpha2 grid must lie in [0, 1], got {args.alpha2!r}")
+            args.parser.error(f"--alpha2 grid must lie in [0, 1], got {args.alpha2!r}")
         rows = ["alpha2,min_pt_eigenvalue,separable"]
         # both register cloners build 64-amplitude joint states
         size = _BATCH_AMPS // 64
@@ -171,7 +172,7 @@ def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def cmd_dump_circuit(args, parser: argparse.ArgumentParser) -> int:
+def cmd_dump_circuit(args) -> int:
     circuit = build_prep_circuit_1() if args.which == "prep1" else build_copy_stage(args.n)
     _emit(circuit_to_text(circuit), args.output)
     return 0
@@ -208,7 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
         p_reg = kinds.add_parser(kind, parents=[report], help=f"{kind.removeprefix('register-')} two-qubit register cloner")
         p_reg.add_argument("--alpha2", type=float, default=0.5, help="register weight on |00> (default 0.5)")
 
-    sub.add_parser("reproduce", parents=[output], help="verify every published value; exit 1 on any miss")
+    sub.add_parser(
+        "reproduce", parents=[output], help="verify every published value; exit 1 on any miss"
+    ).set_defaults(run=cmd_reproduce)
 
     p_sweep = sub.add_parser("sweep", help="emit a CSV over a parameter range")
     sweeps = p_sweep.add_subparsers(dest="name", required=True)
@@ -227,19 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, choices=range(1, 9), default=1, metavar="{1..8}",
                    help="clone count for the copy stage")
 
+    # each leaf runs its command and reports usage errors with its own usage line
+    for choices, run in ((kinds, cmd_clone), (sweeps, cmd_sweep), (circuits, cmd_dump_circuit)):
+        for p in choices.choices.values():
+            p.set_defaults(run=run, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "clone":
-        return cmd_clone(args, parser)
-    if args.command == "reproduce":
-        return cmd_reproduce(args, parser)
-    if args.command == "sweep":
-        return cmd_sweep(args, parser)
-    return cmd_dump_circuit(args, parser)
+    args = build_parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .linalg import (
     _trusted,
     reduced_density,
 )
-from .states import BlochQubit, SymmetricIndex, bloch_ket, register_ket, symmetric_basis_ket
+from .states import BlochQubit, _symmetric_amps, bloch_ket, register_ket
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,9 +115,9 @@ def _gm_columns(n: int) -> np.ndarray:
     lam = [math.sqrt(2.0 * (n + 1 - k) / ((n + 1) * (n + 2))) for k in range(n + 2)]
     iso = np.zeros((2, 2 ** (2 * n + 1)), dtype=np.complex128)
     for k in range(n + 1):
-        b_part = symmetric_basis_ket(SymmetricIndex(n, k)).amps
-        a_k = symmetric_basis_ket(SymmetricIndex(n + 1, k)).amps
-        a_k1 = symmetric_basis_ket(SymmetricIndex(n + 1, k + 1)).amps
+        b_part = _symmetric_amps(n, k)
+        a_k = _symmetric_amps(n + 1, k)
+        a_k1 = _symmetric_amps(n + 1, k + 1)
         iso[0] += lam[k] * np.kron(a_k, b_part)
         iso[1] += lam[n - k] * np.kron(a_k1, b_part)
     return _freeze(iso)
@@ -133,23 +133,15 @@ def gisin_massar_map(q: BlochQubit, n: int) -> CloneOutput:
     return CloneOutput(joint=joint, clone_count=n + 1)
 
 
-@dataclass(frozen=True)
-class MdimCoefficients:
-    """Amplitudes (c, d) of the M-dimensional cloning transformation."""
-
-    m: int
-    c: float
-    d: float
-
-
-def mdim_coefficients(m: int) -> MdimCoefficients:
-    """c = sqrt(2/(m+1)), d = sqrt(1/(2(m+1))); these satisfy both the
+def mdim_coefficients(m: int) -> tuple[float, float]:
+    """Amplitudes (c, d) of the M-dimensional cloning transformation:
+    c = sqrt(2/(m+1)), d = sqrt(1/(2(m+1))); these satisfy both the
     unitarity constraint c^2 + 2(m-1)d^2 = 1 and c^2 = 2cd."""
     if not 2 <= m <= 64:
         raise ValueError(f"dimension is limited to 2 <= m <= 64, got {m}")
     c = math.sqrt(2.0 / (m + 1))
     d = math.sqrt(1.0 / (2.0 * (m + 1)))
-    return MdimCoefficients(m=m, c=c, d=d)
+    return c, d
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +149,7 @@ def _mdim_scatter(m: int) -> tuple[SubsystemLayout, np.ndarray, np.ndarray, np.n
     """Joint layout of the M-dimensional cloner and its amplitude scatter:
     joint amplitude ``target[t]`` is ``weight[t]`` times input amplitude
     ``source[t]``.  Every joint index is hit at most once."""
-    coeff = mdim_coefficients(m)
+    c, d = mdim_coefficients(m)
     i, j = np.divmod(np.arange(m * m), m)
     off = i != j
     i, j = i[off], j[off]
@@ -165,7 +157,7 @@ def _mdim_scatter(m: int) -> tuple[SubsystemLayout, np.ndarray, np.ndarray, np.n
     # c|ii>|X_i>, then d|ij>|X_j> and d|ji>|X_j> for every j != i
     target = np.concatenate([diag * (m * m + m + 1), i * m * m + j * m + j, j * m * m + i * m + j])
     source = np.concatenate([diag, i, i])
-    weight = np.concatenate([np.full(m, coeff.c), np.full(2 * i.size, coeff.d)])
+    weight = np.concatenate([np.full(m, c), np.full(2 * i.size, d)])
     return SubsystemLayout((m, m, m)), _freeze(target), _freeze(source), _freeze(weight)
 
 

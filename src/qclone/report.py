@@ -64,25 +64,7 @@ class CloneReport:
 
         return json.dumps(walk(asdict(self)), indent=2, sort_keys=False) + "\n"
 
-    CSV_COLUMNS = (
-        "kind",
-        "n_or_m",
-        "theta",
-        "phi",
-        "alpha",
-        "seed",
-        "scaling_factor",
-        "scaling_residual",
-        "fidelity",
-        "bures",
-        "pt_min",
-        "separable_all",
-        "purity_xi",
-        "entropy_clone",
-        "entropy_copier",
-    )
-
-    def csv_row(self) -> str:
+    def to_csv(self) -> str:
         def fmt(x) -> str:
             if x is None:
                 return ""
@@ -92,6 +74,7 @@ class CloneReport:
                 return f"{x:.12g}"
             return str(x)
 
+        # the CSV header and its row both come from this dict, in this order
         vals = {
             "kind": self.kind,
             "n_or_m": self.n_or_m,
@@ -109,10 +92,7 @@ class CloneReport:
             "entropy_clone": self.entropies.get("clone", self.entropies.get("clone_pair")),
             "entropy_copier": self.entropies.get("copier"),
         }
-        return ",".join(fmt(vals[c]) for c in self.CSV_COLUMNS)
-
-    def to_csv(self) -> str:
-        return ",".join(self.CSV_COLUMNS) + "\n" + self.csv_row() + "\n"
+        return ",".join(vals) + "\n" + ",".join(fmt(v) for v in vals.values()) + "\n"
 
     def to_table(self) -> str:
         lines = [f"{'kind':<18} {self.kind}", f"{'n_or_m':<18} {self.n_or_m}"]

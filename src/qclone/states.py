@@ -47,20 +47,6 @@ def _first_failing(x: np.ndarray, ok: np.ndarray) -> float:
     return x.reshape(-1)[np.argmin(ok.reshape(-1))].item()
 
 
-@dataclass(frozen=True)
-class SymmetricIndex:
-    """Label (n, k) for the symmetric n-qubit state with k excitations."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
-
-
 _QUBIT = SubsystemLayout((2,))
 
 
@@ -104,10 +90,14 @@ def _symmetric_amps(n: int, k: int) -> np.ndarray:
     return _freeze(amps)
 
 
-def symmetric_basis_ket(s: SymmetricIndex) -> StateVector:
-    """Symmetric (Dicke) state |n;k>: all weight-k basis states, equal
-    positive amplitudes."""
-    return _trusted(StateVector, layout=SubsystemLayout((2,) * s.n), amps=_symmetric_amps(s.n, s.k))
+def symmetric_basis_ket(n: int, k: int) -> StateVector:
+    """Symmetric (Dicke) state |n;k> of n qubits with k excitations: all
+    weight-k basis states, equal positive amplitudes."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    return _trusted(StateVector, layout=SubsystemLayout((2,) * n), amps=_symmetric_amps(n, k))
 
 
 def prep_state(n: int) -> StateVector:

@@ -96,6 +96,29 @@ def test_usage_errors_exit_2(capsys, tmp_path, argv):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("clone", "gm", "9"),
+        ("clone", "uqcm", "--theta", "4"),
+        ("clone", "uqcm", "--seed", "-1"),
+        ("clone", "mdim", "65"),
+        ("clone", "register-local", "--alpha2", "1.5"),
+        ("sweep", "mdim-scaling", "--m", "5:2"),
+        ("sweep", "register-negativity", "--alpha2", "0:1", "--method", "local"),
+        ("sweep", "register-negativity", "--alpha2=-0.5:1.5:5", "--method", "local"),
+    ],
+)
+def test_command_errors_show_subcommand_usage(capsys, argv):
+    # errors the commands raise after parsing show the usage of the
+    # subcommand that was called, as argparse's own errors do
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 2
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith(f"usage: qclone {argv[0]} {argv[1]} ")
+
+
 def test_format_env_default(capsys, monkeypatch):
     monkeypatch.setenv("QCLONE_FORMAT", "json")
     _, out = run(capsys, "clone", "uqcm")

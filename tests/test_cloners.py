@@ -101,13 +101,13 @@ class TestGisinMassar:
 
 class TestMdim:
     def test_coefficients(self):
-        co = mdim_coefficients(2)
-        np.testing.assert_allclose(co.c, math.sqrt(2 / 3), atol=1e-15)
-        np.testing.assert_allclose(co.d, math.sqrt(1 / 6), atol=1e-15)
+        c, d = mdim_coefficients(2)
+        np.testing.assert_allclose(c, math.sqrt(2 / 3), atol=1e-15)
+        np.testing.assert_allclose(d, math.sqrt(1 / 6), atol=1e-15)
         for m in (2, 3, 7, 64):
-            co = mdim_coefficients(m)
-            np.testing.assert_allclose(co.c**2 + 2 * (m - 1) * co.d**2, 1.0, atol=1e-14)
-            np.testing.assert_allclose(co.c, 2 * co.d, atol=1e-14)
+            c, d = mdim_coefficients(m)
+            np.testing.assert_allclose(c**2 + 2 * (m - 1) * d**2, 1.0, atol=1e-14)
+            np.testing.assert_allclose(c, 2 * d, atol=1e-14)
 
     def test_m2_is_uqcm(self):
         q = BlochQubit(2.0, 1.0)

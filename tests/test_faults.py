@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from qclone import analysis, checks
+from qclone import analysis, checks, cloners
 from qclone.linalg import DensityOperator
 
 LOCAL_ONSET = 0.5 - math.sqrt(39.0) / 16.0
@@ -67,11 +67,46 @@ def _quadrature_weights_high(monkeypatch):
     monkeypatch.setattr(analysis, "_legendre_rule", faulty)
 
 
+def _gm_image_of_one_long(monkeypatch):
+    """1-to-(n+1) isometry with its image of |1> scaled by 1 + 1e-9, which
+    moves every clone's scaling factor by 7.8e-10 to 1.3e-9 against a
+    tolerance of 1e-10.  Scaled by 1 + 1e-10, only n=1 fails; by 1 + 1e-11,
+    every row passes.  The module global is patched, so the cached columns
+    stay as they are."""
+    real = cloners._gm_columns
+
+    def faulty(n):
+        iso = real(n).copy()
+        iso[1] *= 1.0 + 1e-9
+        return iso
+
+    monkeypatch.setattr(cloners, "_gm_columns", faulty)
+
+
+def _mdim_c_long(monkeypatch):
+    """M-dimensional cloner with its c amplitude, the first m scatter
+    weights, scaled by 1 + 1e-11, which moves the m=2 joint state 7.8e-12
+    off the 1->2 cloner's against a tolerance of 1e-12.  Scaled by
+    1 + 1e-12, every row passes.  The module global is patched, so the
+    cached scatter stays as it is."""
+    real = cloners._mdim_scatter
+
+    def faulty(m):
+        layout, target, source, weight = real(m)
+        weight = weight.copy()
+        weight[:m] *= 1.0 + 1e-11
+        return layout, target, source, weight
+
+    monkeypatch.setattr(cloners, "_mdim_scatter", faulty)
+
+
 #: (fault, criterion that must catch it, labels of rows that must fail)
 FAULTS = [
     (_ppt_flipped_above_local_onset, 10, ("local inseparability onset (alpha^2)",)),
     (_register_corner_off, 10, ("local pair density vs closed form (max dev)",)),
     (_marginal_transposed, 5, tuple(f"max idle-qubit deviation, n={n}" for n in range(1, 6))),
+    (_gm_image_of_one_long, 4, tuple(f"scaling factor, n={n}" for n in range(1, 7))),
+    (_mdim_c_long, 9, ("m=2 joint state equals 1->2 cloner joint",)),
     (_quadrature_weights_high, 11, ("mean fidelity, 1->2 cloner", "mean fidelity, n=2", "mean fidelity, n=3")),
 ]
 

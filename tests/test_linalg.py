@@ -21,7 +21,7 @@ from qclone.linalg import (
     tensor,
     von_neumann_entropy,
 )
-from qclone.states import SymmetricIndex, symmetric_basis_ket
+from qclone.states import symmetric_basis_ket
 
 BELL = StateVector(SubsystemLayout((2, 2)), np.array([1, 0, 0, 1]) / math.sqrt(2))
 
@@ -329,7 +329,7 @@ class TestEigensolver:
         np.testing.assert_allclose(w, [-1.0, 2.0, 3.0], rtol=0, atol=1e-15)
 
     def test_dicke_projector_is_rank_one(self):
-        rho = outer(symmetric_basis_ket(SymmetricIndex(3, 1)))
+        rho = outer(symmetric_basis_ket(3, 1))
         w = hermitian_eigenvalues(rho)
         np.testing.assert_allclose(w, [0.0] * 7 + [1.0], rtol=0, atol=1e-14)
 

@@ -6,7 +6,6 @@ import pytest
 from qclone.linalg import StateVector, SubsystemLayout
 from qclone.states import (
     BlochQubit,
-    SymmetricIndex,
     bloch_ket,
     haar_random_ket,
     prep_state,
@@ -79,29 +78,29 @@ def test_register_ket_rejects_bad_alpha(alpha):
 class TestSymmetricBasis:
     def test_index_validation(self):
         with pytest.raises(ValueError):
-            SymmetricIndex(0, 0)
+            symmetric_basis_ket(0, 0)
         with pytest.raises(ValueError):
-            SymmetricIndex(2, 3)
+            symmetric_basis_ket(2, 3)
         with pytest.raises(ValueError):
-            SymmetricIndex(2, -1)
+            symmetric_basis_ket(2, -1)
 
     def test_small_cases(self):
-        psi = symmetric_basis_ket(SymmetricIndex(2, 1))
+        psi = symmetric_basis_ket(2, 1)
         np.testing.assert_allclose(psi.amps, np.array([0, 1, 1, 0]) / math.sqrt(2), atol=1e-15)
-        psi = symmetric_basis_ket(SymmetricIndex(3, 1))
+        psi = symmetric_basis_ket(3, 1)
         want = np.zeros(8)
         want[0b001] = want[0b010] = want[0b100] = 1 / math.sqrt(3)
         np.testing.assert_allclose(psi.amps, want, atol=1e-15)
 
     def test_orthonormal_family(self):
         n = 4
-        kets = [symmetric_basis_ket(SymmetricIndex(n, k)).amps for k in range(n + 1)]
+        kets = [symmetric_basis_ket(n, k).amps for k in range(n + 1)]
         gram = np.array([[np.vdot(a, b) for b in kets] for a in kets])
         np.testing.assert_allclose(gram, np.eye(n + 1), atol=1e-14)
 
     def test_weight_support(self):
         """|n; k> only touches computational states with exactly k ones."""
-        psi = symmetric_basis_ket(SymmetricIndex(5, 2))
+        psi = symmetric_basis_ket(5, 2)
         for idx in np.flatnonzero(np.abs(psi.amps) > 0):
             assert bin(idx).count("1") == 2
 
@@ -124,15 +123,15 @@ class TestPrepState:
         psi = prep_state(n)
         for k in range(n + 1):
             ee = np.kron(
-                symmetric_basis_ket(SymmetricIndex(n, k)).amps,
-                symmetric_basis_ket(SymmetricIndex(n, k)).amps,
+                symmetric_basis_ket(n, k).amps,
+                symmetric_basis_ket(n, k).amps,
             )
             e_k = float(np.vdot(ee, psi.amps).real)
             assert e_k > 0
             if k > 0:
                 ff = np.kron(
-                    symmetric_basis_ket(SymmetricIndex(n, k - 1)).amps,
-                    symmetric_basis_ket(SymmetricIndex(n, k)).amps,
+                    symmetric_basis_ket(n, k - 1).amps,
+                    symmetric_basis_ket(n, k).amps,
                 )
                 f_k = float(np.vdot(ff, psi.amps).real)
                 np.testing.assert_allclose(f_k, math.sqrt(k / (n - k + 1)) * e_k, atol=1e-13)
