@@ -5,6 +5,9 @@ prediction), a measurement on simulated cloner output, or a comparison
 helper between the two.  The simulation routes live in ``network`` and
 ``cloners``; this module never builds cloner output by formula where a
 simulation is being tested.
+
+Two-qubit closed forms are 4 x 4 tables over |00>,|01>,|10>,|11>, the
+package's basis order (first qubit most significant).
 """
 from __future__ import annotations
 
@@ -140,36 +143,35 @@ def ppt_separable(rho: DensityOperator):
     return bool(w >= -TOL_SPECTRAL), float(w)
 
 
-def _from_reversed_basis(rows, denom: float, lead: tuple[int, ...]) -> DensityOperator:
-    """Two-qubit operator: a 4 x 4 table written over |11>,|10>,|01>,|00>
-    (the package convention runs |00>,|01>,|10>,|11>), divided by ``denom``.
-    Each entry is a number or a flat array over the batch, which ``lead``
-    shapes (``()`` for one qubit)."""
+def _two_qubit(rows, denom: float, lead: tuple[int, ...]) -> DensityOperator:
+    """Two-qubit operator: a 4 x 4 table over |00>,|01>,|10>,|11>, divided
+    by ``denom``.  Each entry is a number or a flat array over the batch,
+    which ``lead`` shapes (``()`` for one qubit)."""
     entries = np.broadcast_arrays(*(x for row in rows for x in row))
     mat = np.stack(entries, axis=-1).reshape(lead + (4, 4)).astype(np.complex128) / denom
-    return DensityOperator(SubsystemLayout((2, 2)), mat[..., ::-1, ::-1])
+    return DensityOperator(SubsystemLayout((2, 2)), mat)
 
 
 def clone_pair_density_formula(n: int, q: BlochQubit) -> DensityOperator:
-    """Closed-form two-clone density operator of the 1-to-(n+1) cloner; a
-    batched ``q`` gives the batch."""
+    """Closed-form two-clone density operator of the 1-to-(n+1) cloner, over
+    |00>,|01>,|10>,|11>; a batched ``q`` gives the batch."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     amps = bloch_ket(q).amps
     a, b = amps.reshape(-1, 2).T  # arrays even for one qubit: one arithmetic for both
     aa, bb = abs(a) ** 2, abs(b) ** 2
     g = (n + 3.0) / (n + 1.0)
-    up = np.conj(a) * b * g  # alpha* beta terms of the upper triangle
-    dn = np.conj(up)
-    top = ((3 * n + 5) * bb + (n - 1) * aa) / (n + 1.0)
-    bot = ((3 * n + 5) * aa + (n - 1) * bb) / (n + 1.0)
+    lo = np.conj(a) * b * g  # alpha* beta terms of the lower triangle
+    hi = np.conj(lo)
+    p11 = ((3 * n + 5) * bb + (n - 1) * aa) / (n + 1.0)
+    p00 = ((3 * n + 5) * aa + (n - 1) * bb) / (n + 1.0)
     rows = [
-        [top, up, up, 0.0],
-        [dn, 1.0, 1.0, up],
-        [dn, 1.0, 1.0, up],
-        [0.0, dn, dn, bot],
+        [p00, hi, hi, 0.0],
+        [lo, 1.0, 1.0, hi],
+        [lo, 1.0, 1.0, hi],
+        [0.0, lo, lo, p11],
     ]
-    return _from_reversed_basis(rows, 6.0, amps.shape[:-1])
+    return _two_qubit(rows, 6.0, amps.shape[:-1])
 
 
 def pt_spectrum_formula(n: int) -> np.ndarray:
@@ -183,19 +185,19 @@ def pt_spectrum_formula(n: int) -> np.ndarray:
 
 def rho_a1b1_density_formula(q: BlochQubit) -> DensityOperator:
     """Closed-form clone/copier two-qubit state (a_1, b_1) of the single-copy
-    cloner; a batched ``q`` gives the batch."""
+    cloner, over |00>,|01>,|10>,|11>; a batched ``q`` gives the batch."""
     amps = bloch_ket(q).amps
     a, b = amps.reshape(-1, 2).T  # arrays even for one qubit: one arithmetic for both
     aa, bb = abs(a) ** 2, abs(b) ** 2
     ab = a * np.conj(b)  # alpha beta*
     ba = np.conj(ab)
     rows = [
-        [4 * bb + aa, ab, 2 * ba, 2.0],
-        [ba, bb, 0.0, 2 * ba],
-        [2 * ab, 0.0, aa, ab],
-        [2.0, 2 * ab, ba, 4 * aa + bb],
+        [4 * aa + bb, ba, 2 * ab, 2.0],
+        [ab, aa, 0.0, 2 * ab],
+        [2 * ba, 0.0, bb, ba],
+        [2.0, 2 * ba, ab, 4 * bb + aa],
     ]
-    return _from_reversed_basis(rows, 6.0, amps.shape[:-1])
+    return _two_qubit(rows, 6.0, amps.shape[:-1])
 
 
 def rho_a1b1_pt_spectrum(q: BlochQubit) -> np.ndarray:
@@ -344,8 +346,10 @@ def register_pair_formula(method: str, alpha) -> DensityOperator:
         corner *= 3.0 / 5.0
     else:
         raise ValueError(f"method must be 'local' or 'nonlocal', got {method!r}")
-    mat = np.zeros(alpha.shape + (4, 4), dtype=np.complex128)
-    for i, x in enumerate(diag):
-        mat[..., i, i] = x
-    mat[..., 0, 3] = mat[..., 3, 0] = corner
-    return DensityOperator(SubsystemLayout((2, 2)), mat)
+    rows = [
+        [diag[0], 0.0, 0.0, corner],
+        [0.0, diag[1], 0.0, 0.0],
+        [0.0, 0.0, diag[2], 0.0],
+        [corner, 0.0, 0.0, diag[3]],
+    ]
+    return _two_qubit(rows, 1.0, alpha.shape)

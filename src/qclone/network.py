@@ -7,7 +7,10 @@ and the two-qubit CNOT.  Wire order for the 1-to-(n+1) cloner is fixed as
 the clones and the b wires the copier.
 
 A batch of K states, (K, 2**width) amplitudes, runs through a circuit in one
-pass: every gate acts on the wires behind the leading batch axis.
+pass.  ``run_circuit`` checks the state's layout once and reshapes its
+amplitudes once into a tensor with one axis per wire behind the batch axis;
+every gate takes that tensor and returns the next one, and the result is
+wrapped as a StateVector once, after the last gate.
 """
 from __future__ import annotations
 
@@ -76,35 +79,24 @@ class Circuit:
                     raise ValueError(f"wire {w} out of range for width {self.width}")
 
 
-def _qubit_tensor(psi: StateVector) -> tuple[np.ndarray, int]:
-    """The amplitudes with one axis per wire, and the number of leading
-    batch axes (0 or 1) in front of the wire axes."""
-    dims = psi.layout.dims
-    if any(d != 2 for d in dims):
-        raise ValueError(f"gates act on qubit wires only, layout is {dims}")
-    lead = psi.amps.shape[:-1]
-    return psi.amps.reshape(lead + dims), len(lead)
-
-
-# Wires and angles are checked once, by GateOp and Circuit; the gates trust them.
-def apply_rotation(psi: StateVector, wire: int, theta: float) -> StateVector:
+# Wires and angles are checked once, by GateOp and Circuit, and the layout
+# once, by run_circuit; the gates trust them and act on the bare amplitude
+# tensor: one axis per wire, behind ``lead`` batch axes.
+def apply_rotation(t: np.ndarray, lead: int, wire: int, theta: float) -> np.ndarray:
     """Apply R(theta) on one wire."""
-    t, lead = _qubit_tensor(psi)
     c, s = math.cos(theta), math.sin(theta)
     r = np.array([[c, -s], [s, c]], dtype=np.complex128)
     out = np.tensordot(t, r, axes=([lead + wire], [1]))
-    out = np.moveaxis(out, -1, lead + wire)
-    return _trusted(StateVector, layout=psi.layout, amps=out.reshape(psi.amps.shape))
+    return np.moveaxis(out, -1, lead + wire)
 
 
-def apply_cnot(psi: StateVector, control: int, target: int) -> StateVector:
+def apply_cnot(t: np.ndarray, lead: int, control: int, target: int) -> np.ndarray:
     """Apply a CNOT: flip ``target`` on the control = 1 slice."""
-    t, lead = _qubit_tensor(psi)
     t = t.copy()
     one = [slice(None)] * t.ndim
     one[lead + control] = 1
     t[tuple(one)] = np.flip(t[tuple(one)], axis=lead + (target if target < control else target - 1))
-    return _trusted(StateVector, layout=psi.layout, amps=t.reshape(psi.amps.shape))
+    return t
 
 
 def run_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
@@ -113,12 +105,14 @@ def run_circuit(circuit: Circuit, psi: StateVector) -> StateVector:
         raise ValueError(
             f"state layout {psi.layout.dims} does not match circuit width {circuit.width}"
         )
+    lead = psi.amps.ndim - 1
+    t = psi.amps.reshape(psi.amps.shape[:lead] + psi.layout.dims)
     for op in circuit.ops:
         if op.kind == ROTATION:
-            psi = apply_rotation(psi, op.wires[0], op.theta)
+            t = apply_rotation(t, lead, op.wires[0], op.theta)
         else:
-            psi = apply_cnot(psi, op.wires[0], op.wires[1])
-    return psi
+            t = apply_cnot(t, lead, op.wires[0], op.wires[1])
+    return _trusted(StateVector, layout=psi.layout, amps=t.reshape(psi.amps.shape))
 
 
 def build_prep_circuit_1() -> Circuit:

@@ -2,10 +2,12 @@
 non-numeric text equal and every number within 1e-12.
 
 Regenerate ``data/cli_golden.json`` (only when an output change is
-intended) with ``PYTHONPATH=src python tests/test_cli_golden.py``.
+intended) with ``PYTHONPATH=src python tests/test_cli_golden.py``; like the
+suite, it ignores an exported QCLONE_FORMAT.
 """
 import io
 import json
+import os
 import re
 import sys
 from contextlib import redirect_stdout
@@ -107,6 +109,7 @@ def test_sweep_slices_print_the_golden_rows(golden, case, monkeypatch):
 
 
 if __name__ == "__main__":
+    os.environ.pop("QCLONE_FORMAT", None)  # the cases print their default format
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({case: run_case(case) for case in CASES}, indent=1) + "\n")
     sys.exit(0)

@@ -1,15 +1,18 @@
 """Planted faults, each of which a named criterion must catch.
 
-Every entry of ``FAULTS`` patches one function in-process, names the
-criterion that must detect it and the rows that must fail, and the test runs
-only that criterion.  A fault the criterion lets through fails the suite.
+Every entry of ``FAULTS`` patches one module global, a function or a
+constant, in-process, names the criterion that must detect it and the rows
+that must fail, and the test runs only that criterion.  A fault the
+criterion lets through fails the suite.
 """
 import math
 
+import numpy as np
 import pytest
 
-from qclone import analysis, checks, cloners
-from qclone.linalg import DensityOperator
+from qclone import analysis, checks, cloners, network
+from qclone.linalg import DensityOperator, StateVector, _trusted
+from qclone.network import Circuit
 
 LOCAL_ONSET = 0.5 - math.sqrt(39.0) / 16.0
 
@@ -100,8 +103,107 @@ def _mdim_c_long(monkeypatch):
     monkeypatch.setattr(cloners, "_mdim_scatter", faulty)
 
 
+def _prep_amp0_long(monkeypatch):
+    """Copier start state with its amplitude on |0..0> scaled by 1 + 1e-10
+    and left unnormalized, which moves the worst scaling factor and clone
+    fidelity 1.3e-10 off against a tolerance of 1e-10.  Scaled by
+    1 + 1e-11, every row passes.  The module global is patched, so the
+    network builds on the faulty state."""
+    real = network.prep_state
+
+    def faulty(n):
+        psi = real(n)
+        amps = psi.amps.copy()
+        amps[0] *= 1.0 + 1e-10
+        return _trusted(StateVector, layout=psi.layout, amps=amps)
+
+    monkeypatch.setattr(network, "prep_state", faulty)
+
+
+def _prep_theta2_long(monkeypatch):
+    """Second preparation angle scaled by 1 + 1e-11, which the build reads
+    from the module global: the amplitudes on |01>, |10> and |11> move
+    1.3e-12, 2.0e-12 and 2.7e-12 against a tolerance of 1e-12, and the one
+    on |00> moves 6.7e-13 and passes.  Scaled by 1 + 1e-12, every row
+    passes."""
+    monkeypatch.setattr(network, "PREP_THETA_2", network.PREP_THETA_2 * (1.0 + 1e-11))
+
+
+def _copy_stage_last_cnot_dropped(monkeypatch):
+    """Copy stage without its last CNOT, b_n -> a_0: the network output
+    overlaps the direct map by 0.14 to 0.23 for n = 1..5."""
+    real = network.build_copy_stage
+
+    def faulty(n):
+        circuit = real(n)
+        return Circuit(circuit.width, circuit.ops[:-1])
+
+    monkeypatch.setattr(network, "build_copy_stage", faulty)
+
+
+def _pt_half_width_long(monkeypatch):
+    """Closed-form PT spectrum with the half-width r of 1/3 +- r scaled by
+    1 + 1e-8; those are the first and last of the ascending eigenvalues for
+    every n.  The formula rows move 2.7e-9 to 3.7e-9 against a tolerance
+    of 1e-9; scaled by 1 + 1e-9, every row passes."""
+    real = analysis.pt_spectrum_formula
+
+    def faulty(n):
+        w = real(n)
+        w[[0, 3]] = 1.0 / 3.0 + (w[[0, 3]] - 1.0 / 3.0) * (1.0 + 1e-8)
+        return w
+
+    monkeypatch.setattr(analysis, "pt_spectrum_formula", faulty)
+
+
+def _a1b1_reads_clone_pair(monkeypatch):
+    """The (a_1, b_1) spectrum read from the clone pair (a_0, a_1) instead,
+    0.26 off the frozen values.  That pair is entangled too (smallest PT
+    eigenvalue -0.039), so the grid row passes.  Reading (a_0, b_1) is no
+    fault: by clone symmetry it has the same spectrum."""
+    real = analysis.reduced_density
+
+    def faulty(psi, keep):
+        return real(psi, [0, 1] if list(keep) == [1, 2] else keep)
+
+    monkeypatch.setattr(analysis, "reduced_density", faulty)
+
+
+def _purity_xi_high(monkeypatch):
+    """Closed-form copier purity scaled by 1 + 1e-9, which moves the rows
+    1.8e-10 to 5.6e-10 against a tolerance of 1e-10.  Scaled by 1 + 1e-10,
+    every row passes."""
+    real = analysis.purity_xi
+    monkeypatch.setattr(analysis, "purity_xi", lambda n: real(n) * (1.0 + 1e-9))
+
+
+def _uqcm_image_of_one_tilted(monkeypatch):
+    """1-to-2 isometry with the |1> -> |111> weight scaled by 1 + 1e-9 and
+    the image of |1> renormalized, so the machine is no longer universal:
+    the Bures spread is 1.014e-10 against a tolerance of 1e-10.  Scaled by
+    1 + 1e-10 (spread 1.0e-11), this criterion passes and only criterion
+    9's m=2 row catches it.  The module global is patched, so the cached
+    columns stay as they are."""
+    real = cloners._uqcm_columns
+
+    def faulty():
+        iso = real().copy()
+        iso[1, 0b111] *= 1.0 + 1e-9
+        iso[1] /= np.linalg.norm(iso[1])
+        return iso
+
+    monkeypatch.setattr(cloners, "_uqcm_columns", faulty)
+
+
 #: (fault, criterion that must catch it, labels of rows that must fail)
 FAULTS = [
+    (_prep_amp0_long, 1, ("scaling factor s, both clones, 100 Haar inputs", "per-input clone fidelity")),
+    (_prep_theta2_long, 2, ("amplitude on |01>", "amplitude on |10>", "amplitude on |11>")),
+    (_copy_stage_last_cnot_dropped, 3, tuple(f"min overlap |<network|map>|, n={n}" for n in range(1, 6))),
+    (_pt_half_width_long, 6, tuple(f"PT spectrum vs formula, n={n}" for n in range(1, 7))),
+    (_a1b1_reads_clone_pair, 7, ("PT spectrum vs frozen values (real inputs)",)),
+    (_purity_xi_high, 8, tuple(f"copier purity, n={n}" for n in range(1, 7))),
+    (_uqcm_image_of_one_tilted, 12, ("Bures spread, 1->2 cloner",)),
     (_ppt_flipped_above_local_onset, 10, ("local inseparability onset (alpha^2)",)),
     (_register_corner_off, 10, ("local pair density vs closed form (max dev)",)),
     (_marginal_transposed, 5, tuple(f"max idle-qubit deviation, n={n}" for n in range(1, 6))),

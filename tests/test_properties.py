@@ -34,7 +34,7 @@ from qclone.linalg import (
     tensor,
     von_neumann_entropy,
 )
-from qclone.network import apply_cnot, apply_rotation, clone_via_network
+from qclone.network import Circuit, clone_via_network, cnot, rotation, run_circuit
 from qclone.states import (
     BlochQubit,
     bloch_ket,
@@ -590,8 +590,8 @@ def test_trusted_constructions_pass_validation(count, data):
         partial_trace(pair, data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))),
         reduced_density(gm.joint, data.draw(st.lists(st.integers(0, 2 * n), min_size=1, max_size=3, unique=True))),
         partial_transpose(reg, data.draw(st.integers(0, 1))),
-        apply_rotation(wires, control, data.draw(st.floats(-math.pi, math.pi))),
-        apply_cnot(wires, control, target),
+        run_circuit(Circuit(width, (rotation(control, data.draw(st.floats(-math.pi, math.pi))),)), wires),
+        run_circuit(Circuit(width, (cnot(control, target),)), wires),
         uqcm_map(q).joint,
         gm.joint,
         mdim_clone(haar_random_ket(m, seed, count)).joint,
