@@ -288,13 +288,16 @@ class SeparabilityInterval:
 
 def inseparability_boundary(method: str, resolution: float = 1e-8) -> SeparabilityInterval:
     """Bisect for the alpha^2 boundaries where the cloned register pair
-    switches between separable and inseparable; a resolution that is not
-    finite and positive raises ValueError.  Each pass decides the next
+    switches between separable and inseparable.  A resolution that is not
+    finite, or is under 4 * spacing(1.0) (about 8.9e-16), raises
+    ValueError: a search stops once its bracket is at most a quarter of the
+    resolution wide, and no bracket in [0.5, 1] narrows below the spacing
+    of doubles there (half of spacing(1.0)).  Each pass decides the next
     ``_BISECTION_LEVELS`` levels of both searches with one batched
     ``register_clone`` call over every midpoint they may take, so the
     result is bit for bit that of one midpoint at a time."""
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise ValueError(f"resolution must be finite and positive, got {resolution}")
+    if not (math.isfinite(resolution) and resolution >= 4 * np.spacing(1.0)):
+        raise ValueError(f"resolution must be finite and at least 4 * spacing(1.0), got {resolution}")
 
     def inseparable(alpha2: np.ndarray) -> np.ndarray:
         sep, _ = ppt_separable(register_clone(method, np.sqrt(alpha2)))

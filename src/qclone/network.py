@@ -175,9 +175,10 @@ def circuit_to_text(circuit: Circuit) -> str:
 def circuit_from_text(text: str) -> Circuit:
     """Parse the :func:`circuit_to_text` format."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("WIDTH "):
-        raise ValueError("circuit text must start with a WIDTH line")
-    width = int(lines[0].split()[1])
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "WIDTH":
+        raise ValueError("circuit text must start with the line WIDTH <int>")
+    width = int(header[1])
     ops = []
     for ln in lines[1:]:
         parts = ln.split()

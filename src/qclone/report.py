@@ -1,13 +1,17 @@
-"""Aggregate report for one cloning run, with JSON and CSV emission.
+"""Aggregate report for one cloning run, with JSON, CSV and table emission.
 
 Numbers serialize at 12 significant digits so identical runs produce
 byte-identical output and every value round-trips through ``json.loads``
-without further loss.
+without further loss.  The table prints one ``name value`` line per field
+in declaration order, and one line per key of ``input``, ``separable`` and
+``entropies`` (prefixed ``input``, ``separable`` and ``entropy``).  An
+empty list or a None prints no line, and every number prints at 12
+significant digits except ``scaling_residual`` at 3.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .analysis import extract_scaling_factor, ppt_separable
 from .cloners import CloneOutput, gisin_massar_map, mdim_clone, register_clone, uqcm_map
@@ -53,27 +57,10 @@ class CloneReport:
     entropies: dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        def walk(x):
-            if isinstance(x, float):
-                return round12(x)
-            if isinstance(x, dict):
-                return {k: walk(v) for k, v in x.items()}
-            if isinstance(x, list):
-                return [walk(v) for v in x]
-            return x
-
-        return json.dumps(walk(asdict(self)), indent=2, sort_keys=False) + "\n"
+        data = json.loads(json.dumps(asdict(self)), parse_float=round12)
+        return json.dumps(data, indent=2) + "\n"
 
     def to_csv(self) -> str:
-        def fmt(x) -> str:
-            if x is None:
-                return ""
-            if isinstance(x, bool):
-                return str(x).lower()
-            if isinstance(x, float):
-                return f"{x:.12g}"
-            return str(x)
-
         # the CSV header and its row both come from this dict, in this order
         vals = {
             "kind": self.kind,
@@ -92,25 +79,35 @@ class CloneReport:
             "entropy_clone": self.entropies.get("clone", self.entropies.get("clone_pair")),
             "entropy_copier": self.entropies.get("copier"),
         }
-        return ",".join(vals) + "\n" + ",".join(fmt(v) for v in vals.values()) + "\n"
+        return ",".join(vals) + "\n" + ",".join(_fmt(v) for v in vals.values()) + "\n"
 
     def to_table(self) -> str:
-        lines = [f"{'kind':<18} {self.kind}", f"{'n_or_m':<18} {self.n_or_m}"]
-        for k, v in self.input.items():
-            lines.append(f"{'input ' + k:<18} {v!r}" if not isinstance(v, float) else f"{'input ' + k:<18} {v:.12g}")
-        lines.append(f"{'scaling_factor':<18} {self.scaling_factor:.12g}")
-        lines.append(f"{'scaling_residual':<18} {self.scaling_residual:.3g}")
-        lines.append(f"{'fidelity':<18} {self.fidelity:.12g}")
-        lines.append(f"{'bures':<18} {self.bures:.12g}")
-        if self.pt_eigenvalues:
-            lines.append(f"{'pt_eigenvalues':<18} " + " ".join(f"{x:.12g}" for x in self.pt_eigenvalues))
-        for pair, sep in self.separable.items():
-            lines.append(f"{'separable ' + pair:<18} {str(sep).lower()}")
-        if self.purity_xi is not None:
-            lines.append(f"{'purity_xi':<18} {self.purity_xi:.12g}")
-        for k, v in self.entropies.items():
-            lines.append(f"{'entropy ' + k:<18} {v:.12g}")
+        lines = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "scaling_residual":
+                value = f"{value:.3g}"
+            if isinstance(value, dict):
+                prefix = "entropy" if f.name == "entropies" else f.name
+                lines += [f"{prefix + ' ' + k:<18} {_fmt(v)}" for k, v in value.items()]
+            elif text := _fmt(value):
+                lines.append(f"{f.name:<18} {text}")
         return "\n".join(lines) + "\n"
+
+
+def _fmt(x) -> str:
+    """One value as the table and the CSV print it: nothing for None, a
+    lower-case boolean, a float at 12 significant digits, a list as its
+    items joined by spaces."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return str(x).lower()
+    if isinstance(x, float):
+        return f"{x:.12g}"
+    if isinstance(x, list):
+        return " ".join(map(_fmt, x))
+    return str(x)
 
 
 def _input(seed=None, **values) -> dict:

@@ -321,10 +321,13 @@ class TestRegisterAnalysis:
         with pytest.raises(ValueError):
             register_pair_formula("global", 0.5)
 
-    @pytest.mark.parametrize("resolution", [float("nan"), float("inf"), 0.0, -1e-8])
+    @pytest.mark.parametrize("resolution", [float("nan"), float("inf"), 0.0, -1e-8, 1e-20])
     def test_rejects_bad_resolution(self, monkeypatch, resolution):
         """Rejected before any point is evaluated: NaN would stop the
-        bisection at once, and 0 or less would never stop it."""
+        bisection at once, and 0 or less would never stop it.  Nor would
+        1e-20: a search stops once its bracket is at most a quarter of the
+        resolution wide, and no bracket in [0.5, 1] narrows below the
+        spacing of doubles there."""
         calls = []
         monkeypatch.setattr(analysis, "register_clone", lambda *a: calls.append(a))
         with pytest.raises(ValueError, match="resolution"):
@@ -354,8 +357,10 @@ def _sequential_boundary(method, resolution):
 
 class TestBatchedBisection:
     @pytest.mark.parametrize("method", ["local", "nonlocal"])
-    @pytest.mark.parametrize("resolution", [1e-8, 1e-3, 0.3, 2.0, 1e-12])
+    @pytest.mark.parametrize("resolution", [1e-8, 1e-3, 0.3, 2.0, 1e-12, 1e-15])
     def test_equals_sequential_bisection(self, method, resolution):
+        """Equal bit for bit down to 1e-15, near the finest resolution
+        accepted (4 * spacing(1.0), about 8.9e-16)."""
         iv = inseparability_boundary(method, resolution)
         assert (iv.lower, iv.upper) == _sequential_boundary(method, resolution)
 

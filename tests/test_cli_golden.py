@@ -34,6 +34,7 @@ CASES = (
     "clone mdim 4 --seed 2",
     "clone mdim 8 --seed 5",
     "clone mdim 16 --seed 3 --format csv",
+    "clone mdim 16 --seed 3",
     "clone mdim 64 --seed 1 --format json",
     "clone register-nonlocal --alpha2 0.3 --format json",
     "clone register-local --alpha2 0.7",

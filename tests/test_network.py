@@ -154,6 +154,8 @@ def test_circuit_text_rejects_garbage():
         circuit_from_text("WIDTH 2\nH 0\n")
     with pytest.raises(ValueError):
         circuit_from_text("R 0 0.5\n")
+    with pytest.raises(ValueError, match="WIDTH <int>"):
+        circuit_from_text("WIDTH 2 junk\nCX 0 1\n")
     with pytest.raises(ValueError):
         circuit_from_text("WIDTH 2\nR 0\n")
     with pytest.raises(ValueError, match="finite angle"):
