@@ -240,18 +240,11 @@ def purity_xi_simulated(out: CloneOutput):
     return purity(out.copier_marginal())
 
 
-@dataclass(frozen=True)
-class MdimFormulas:
-    """Closed-form predictions for the M-dimensional cloner."""
+def mdim_formulas(m: int) -> tuple[float, float, float, float]:
+    """Closed-form predictions (scaling, bures, entropy_clone,
+    entropy_copier) for the M-dimensional cloner.
 
-    scaling: float
-    bures: float
-    entropy_clone: float
-    entropy_copier: float
-
-
-def mdim_formulas(m: int) -> MdimFormulas:
-    """Scaling s = (m+2)/(2(m+1)); Bures distance
+    Scaling s = (m+2)/(2(m+1)); Bures distance
     sqrt(2) (1 - sqrt((m+3)/(2(m+1))))^(1/2); clone entropy
     ln(2(m+1)) - (m+3)/(2(m+1)) ln(m+3); copier entropy
     ln(m+1) - 2 ln(2)/(m+1).  All entropies in nats."""
@@ -261,9 +254,7 @@ def mdim_formulas(m: int) -> MdimFormulas:
     bures = math.sqrt(2.0 * (1.0 - math.sqrt((m + 3.0) / (2.0 * (m + 1.0)))))
     s_clone = math.log(2.0 * (m + 1.0)) - (m + 3.0) / (2.0 * (m + 1.0)) * math.log(m + 3.0)
     s_copier = math.log(m + 1.0) - 2.0 * math.log(2.0) / (m + 1.0)
-    return MdimFormulas(
-        scaling=s, bures=bures, entropy_clone=s_clone, entropy_copier=s_copier
-    )
+    return s, bures, s_clone, s_copier
 
 
 def mdim_copier_formula(phi: StateVector) -> DensityOperator:
@@ -327,6 +318,13 @@ def inseparability_boundary(method: str, resolution: float = 1e-8) -> Separabili
     return SeparabilityInterval(*(0.5 * (s + i) for s, i in searches))
 
 
+#: Closed-form register pair coefficients by method, (w, m, D, c): diagonal
+#: ((w a^2 + 1)/D, m/D, m/D, (w b^2 + 1)/D) and c ab on the |00><11| corner.
+#: Kept apart from ``cloners.REGISTER_CLONERS`` so the closed forms stay a
+#: route of their own.
+_REGISTER_PAIR_COEFFICIENTS = {"local": (24, 5, 36.0, 4.0 / 9.0), "nonlocal": (6, 1, 10.0, 3.0 / 5.0)}
+
+
 def register_pair_formula(method: str, alpha) -> DensityOperator:
     """Closed-form density operator of a cloned register pair.
 
@@ -341,14 +339,11 @@ def register_pair_formula(method: str, alpha) -> DensityOperator:
     a2 = alpha * alpha
     b2 = 1.0 - a2
     corner = alpha * amps[..., 3]
-    if method == "local":
-        diag = [(24 * a2 + 1) / 36.0, 5 / 36.0, 5 / 36.0, (24 * b2 + 1) / 36.0]
-        corner *= 4.0 / 9.0
-    elif method == "nonlocal":
-        diag = [(6 * a2 + 1) / 10.0, 1 / 10.0, 1 / 10.0, (6 * b2 + 1) / 10.0]
-        corner *= 3.0 / 5.0
-    else:
+    if method not in _REGISTER_PAIR_COEFFICIENTS:
         raise ValueError(f"method must be 'local' or 'nonlocal', got {method!r}")
+    weight, middle, denom, corner_scale = _REGISTER_PAIR_COEFFICIENTS[method]
+    diag = [(weight * a2 + 1) / denom, middle / denom, middle / denom, (weight * b2 + 1) / denom]
+    corner *= corner_scale
     rows = [
         [diag[0], 0.0, 0.0, corner],
         [0.0, diag[1], 0.0, 0.0],

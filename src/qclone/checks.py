@@ -230,7 +230,7 @@ def criterion_mdim() -> CriterionResult:
     ent_dev = 0.0
     copier_dev = 0.0
     for m in (2, 3, 4, 8, 16, 32, 64):
-        f = analysis.mdim_formulas(m)
+        scaling, bures, entropy_clone, entropy_copier = analysis.mdim_formulas(m)
         s_vals, b_vals = [], []
         for k in range(2):
             phi = haar_random_ket(m, seed=600 + 10 * m + k)
@@ -239,15 +239,15 @@ def criterion_mdim() -> CriterionResult:
             marg = out.clone_marginal(0)
             s_vals.append(analysis.extract_scaling_factor(marg, ideal).s)
             b_vals.append(bures_distance(marg, ideal))
-            ent_dev = max(ent_dev, abs(von_neumann_entropy(marg) - f.entropy_clone))
+            ent_dev = max(ent_dev, abs(von_neumann_entropy(marg) - entropy_clone))
             copier = out.copier_marginal()
-            ent_dev = max(ent_dev, abs(von_neumann_entropy(copier) - f.entropy_copier))
+            ent_dev = max(ent_dev, abs(von_neumann_entropy(copier) - entropy_copier))
             copier_dev = max(
                 copier_dev,
                 float(np.abs(copier.mat - analysis.mdim_copier_formula(phi).mat).max()),
             )
-        rows.append(CheckRow(f"scaling factor, m={m}", f.scaling, _worst(s_vals, f.scaling), 1e-9))
-        rows.append(CheckRow(f"Bures distance to ideal, m={m}", f.bures, _worst(b_vals, f.bures), 1e-9))
+        rows.append(CheckRow(f"scaling factor, m={m}", scaling, _worst(s_vals, scaling), 1e-9))
+        rows.append(CheckRow(f"Bures distance to ideal, m={m}", bures, _worst(b_vals, bures), 1e-9))
     rows.append(CheckRow("clone/copier entropies vs formulas (max dev)", 0.0, ent_dev, 1e-9))
     rows.append(CheckRow("copier marginal vs closed form (max dev)", 0.0, copier_dev, 1e-9))
     # m = 2 must be the qubit cloner itself, joint state and all

@@ -217,11 +217,14 @@ def nonlocal_register_clone(alpha) -> DensityOperator:
     return _trusted(DensityOperator, layout=SubsystemLayout((2, 2)), mat=copy_a.mat)
 
 
+#: The register cloners by method name: ``local`` clones qubit by qubit,
+#: ``nonlocal`` clones the register as one four-dimensional system.
+REGISTER_CLONERS = {"local": local_register_clone, "nonlocal": nonlocal_register_clone}
+
+
 def register_clone(method: str, alpha) -> DensityOperator:
     """Cloned register pairing by method name, ``local`` or ``nonlocal``;
     an array of alphas gives the batch."""
-    if method == "local":
-        return local_register_clone(alpha)
-    if method == "nonlocal":
-        return nonlocal_register_clone(alpha)
-    raise ValueError(f"method must be 'local' or 'nonlocal', got {method!r}")
+    if method not in REGISTER_CLONERS:
+        raise ValueError(f"method must be 'local' or 'nonlocal', got {method!r}")
+    return REGISTER_CLONERS[method](alpha)

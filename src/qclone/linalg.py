@@ -10,6 +10,7 @@ All spectral quantities come from LAPACK through ``numpy.linalg.eigh``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -80,7 +81,12 @@ class SubsystemLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            # operator.index takes Python and numpy integers and rejects
+            # a float or a string instead of truncating it
+            dims = tuple(map(operator.index, self.dims))
+        except TypeError:
+            raise ValueError(f"subsystem dimensions must be integers, got {self.dims!r}") from None
         if len(dims) == 0:
             raise ValueError("layout needs at least one subsystem")
         if any(d < 1 for d in dims):

@@ -235,11 +235,11 @@ class TestPurityXi:
 
 class TestMdimForms:
     def test_frozen_m2_values(self):
-        f = mdim_formulas(2)
-        np.testing.assert_allclose(f.scaling, 2 / 3, atol=1e-15)
-        np.testing.assert_allclose(f.bures, BURES_M2, atol=1e-12)
-        np.testing.assert_allclose(f.entropy_clone, ENTROPY_CLONE_M2, atol=1e-12)
-        np.testing.assert_allclose(f.entropy_copier, ENTROPY_COPIER_M2, atol=1e-12)
+        scaling, bures, entropy_clone, entropy_copier = mdim_formulas(2)
+        np.testing.assert_allclose(scaling, 2 / 3, atol=1e-15)
+        np.testing.assert_allclose(bures, BURES_M2, atol=1e-12)
+        np.testing.assert_allclose(entropy_clone, ENTROPY_CLONE_M2, atol=1e-12)
+        np.testing.assert_allclose(entropy_copier, ENTROPY_COPIER_M2, atol=1e-12)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 6])
     def test_simulation_hits_all_four_numbers(self, m):
@@ -247,19 +247,14 @@ class TestMdimForms:
         out = mdim_clone(phi)
         ideal = outer(phi)
         clone = out.clone_marginal(0)
+        scaling, bures, entropy_clone, entropy_copier = mdim_formulas(m)
 
         fit = extract_scaling_factor(clone, ideal)
-        np.testing.assert_allclose(fit.s, mdim_formulas(m).scaling, atol=1e-12)
+        np.testing.assert_allclose(fit.s, scaling, atol=1e-12)
+        np.testing.assert_allclose(bures_distance(clone, ideal), bures, atol=1e-10)
+        np.testing.assert_allclose(von_neumann_entropy(clone), entropy_clone, atol=1e-10)
         np.testing.assert_allclose(
-            bures_distance(clone, ideal), mdim_formulas(m).bures, atol=1e-10
-        )
-        np.testing.assert_allclose(
-            von_neumann_entropy(clone), mdim_formulas(m).entropy_clone, atol=1e-10
-        )
-        np.testing.assert_allclose(
-            von_neumann_entropy(out.copier_marginal()),
-            mdim_formulas(m).entropy_copier,
-            atol=1e-10,
+            von_neumann_entropy(out.copier_marginal()), entropy_copier, atol=1e-10
         )
 
     @pytest.mark.parametrize("m", [2, 3, 5])
@@ -279,10 +274,10 @@ class TestMdimForms:
         np.testing.assert_allclose(mdim_copier_formula(phi).mat, old, rtol=0, atol=1e-15)
 
     def test_scaling_decreases_toward_half(self):
-        values = [mdim_formulas(m).scaling for m in range(2, 65)]
+        values = [mdim_formulas(m)[0] for m in range(2, 65)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] > 0.5
-        np.testing.assert_allclose(mdim_formulas(64).scaling, 33 / 65, atol=1e-15)
+        np.testing.assert_allclose(mdim_formulas(64)[0], 33 / 65, atol=1e-15)
 
 
 class TestRegisterAnalysis:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qclone import cli
 from qclone.cli import main
 from qclone.network import build_copy_stage, build_prep_circuit_1, circuit_from_text
 
@@ -119,38 +120,48 @@ def test_command_errors_show_subcommand_usage(capsys, argv):
     assert first.startswith(f"usage: qclone {argv[0]} {argv[1]} ")
 
 
-def test_format_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("QCLONE_FORMAT", "json")
-    _, out = run(capsys, "clone", "uqcm")
-    assert json.loads(out)["kind"] == "uqcm"
-
-    monkeypatch.setenv("QCLONE_FORMAT", "yaml")
-    with pytest.raises(SystemExit) as err:
-        main(["clone", "uqcm"])
-    assert err.value.code == 2
+def test_format_env_is_ignored(capsys, monkeypatch):
+    # only --format picks the format: an exported QCLONE_FORMAT, valid or
+    # not, leaves the default table in place
+    _, table = run(capsys, "clone", "uqcm", "--format", "table")
+    for value in ("json", "yaml"):
+        monkeypatch.setenv("QCLONE_FORMAT", value)
+        assert run(capsys, "clone", "uqcm") == (0, table)
 
 
-def test_successive_calls_behave_like_fresh_ones(capsys, monkeypatch):
+def test_successive_calls_behave_like_fresh_ones(capsys):
     # the parser is built once per process; a usage error must leave no
-    # state behind, and QCLONE_FORMAT is read again on every call
+    # state behind, and each call's --format holds for that call only
     with pytest.raises(SystemExit) as err:
         main(["clone", "gm"])
     assert err.value.code == 2
     code, out = run(capsys, "clone", "gm", "2", "--format", "json")
     assert code == 0 and json.loads(out)["n_or_m"] == 2
 
-    monkeypatch.setenv("QCLONE_FORMAT", "json")
-    _, out = run(capsys, "clone", "uqcm")
-    assert json.loads(out)["kind"] == "uqcm"
-    monkeypatch.setenv("QCLONE_FORMAT", "csv")
-    _, out = run(capsys, "clone", "uqcm")
+    _, out = run(capsys, "clone", "uqcm", "--format", "csv")
     assert out.splitlines()[0].startswith("kind,n_or_m,")
+    _, out = run(capsys, "clone", "uqcm")
+    assert out.startswith("kind ")
 
 
 def test_flag_beats_env(capsys, monkeypatch):
     monkeypatch.setenv("QCLONE_FORMAT", "csv")
     _, out = run(capsys, "clone", "uqcm", "--format", "json")
     assert out.lstrip().startswith("{")
+
+
+@pytest.mark.parametrize("m", ["1", "65", "3000000", "200000000"])
+def test_clone_mdim_checks_range_before_drawing(capsys, monkeypatch, m):
+    # an out-of-range M is a usage error with the library's message before
+    # any input is drawn, so a huge M costs no memory
+    def no_draw(*args):
+        raise AssertionError(f"drew an input for M = {m}")
+
+    monkeypatch.setattr(cli, "haar_random_ket", no_draw)
+    with pytest.raises(SystemExit) as err:
+        main(["clone", "mdim", m])
+    assert err.value.code == 2
+    assert f"dimension is limited to 2 <= m <= 64, got {m}" in capsys.readouterr().err
 
 
 def test_output_file(capsys, tmp_path):

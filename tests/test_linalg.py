@@ -37,12 +37,20 @@ class TestLayout:
         lay = SubsystemLayout((2, 3, 4))
         assert lay.total == 24
         assert len(lay) == 3
+        # numpy integers pass and become Python ints
+        lay = SubsystemLayout((np.int64(2), np.int32(3)))
+        assert lay.dims == (2, 3) and all(type(d) is int for d in lay.dims)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             SubsystemLayout((2, 0))
         with pytest.raises(ValueError):
             SubsystemLayout(())
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, "2"])
+    def test_rejects_non_integer_dims(self, bad):
+        with pytest.raises(ValueError, match=repr(bad)):
+            SubsystemLayout((bad, 3))
 
 
 class TestStateVector:

@@ -123,7 +123,7 @@ def test_gm_clones_fit_scaled_form(n, theta, phi):
 def test_mdim_clones_fit_scaled_form(phi):
     out = mdim_clone(phi)
     for i in range(2):
-        assert_scaled_form(out.clone_marginal(i), phi, mdim_formulas(phi.dim).scaling)
+        assert_scaled_form(out.clone_marginal(i), phi, mdim_formulas(phi.dim)[0])
 
 
 @PROPERTY
