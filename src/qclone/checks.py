@@ -238,7 +238,7 @@ def criterion_mdim() -> CriterionResult:
             ideal = outer(phi)
             marg = out.clone_marginal(0)
             s_vals.append(analysis.extract_scaling_factor(marg, ideal).s)
-            b_vals.append(bures_distance(marg, ideal))
+            b_vals.append(bures_distance(marg, phi))
             ent_dev = max(ent_dev, abs(von_neumann_entropy(marg) - entropy_clone))
             copier = out.copier_marginal()
             ent_dev = max(ent_dev, abs(von_neumann_entropy(copier) - entropy_copier))
@@ -311,23 +311,23 @@ def criterion_universality() -> CriterionResult:
         return float(np.std(np.asarray(distances)))
 
     q = random_bloch(700, count=100)
-    dists = bures_distance(uqcm_map(q).clone_marginal(0), outer(bloch_ket(q)))
+    dists = bures_distance(uqcm_map(q).clone_marginal(0), bloch_ket(q))
     rows.append(CheckRow("Bures spread, 1->2 cloner", 0.0, spread(dists), 1e-10))
 
     for n in range(1, 6):
         q = random_bloch(710 + n, count=100)
-        dists = bures_distance(gisin_massar_map(q, n).clone_marginal(0), outer(bloch_ket(q)))
+        dists = bures_distance(gisin_massar_map(q, n).clone_marginal(0), bloch_ket(q))
         rows.append(CheckRow(f"Bures spread, n={n}", 0.0, spread(dists), 1e-10))
 
     for m in (2, 3, 4, 8, 16):
         dists = np.concatenate([
-            bures_distance(mdim_clone(phi).clone_marginal(0), outer(phi))
+            bures_distance(mdim_clone(phi).clone_marginal(0), phi)
             for phi in _chunks(haar_random_ket(m, 730 + m, count=100), m**3)
         ])
         rows.append(CheckRow(f"Bures spread, m={m}", 0.0, spread(dists), 1e-10))
 
     alpha = np.sqrt(np.random.default_rng(750).uniform(0.0, 1.0, 100))
-    dists = bures_distance(register_clone("local", alpha), outer(register_ket(alpha)))
+    dists = bures_distance(register_clone("local", alpha), register_ket(alpha))
     rows.append(
         CheckRow("Bures spread, local register cloner (must exceed 1e-3)", 1e-3, spread(dists), 0.0, mode="ge")
     )

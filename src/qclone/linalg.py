@@ -350,23 +350,28 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (v * _clipped_sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def sqrt_fidelity(rho1: DensityOperator, rho2: DensityOperator):
-    """Root fidelity Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), symmetric in its
-    arguments and equal to sqrt(<psi|rho1|psi>) when rho2 = |psi><psi|.
+def sqrt_fidelity(rho1: DensityOperator, rho2: DensityOperator | StateVector):
+    """Root fidelity Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), symmetric in two
+    operators.  For a pure state rho2 = psi, given as a StateVector, it is
+    sqrt(<psi|rho1|psi>) exactly, taken without an eigensolve.
 
-    A float for two operators; for a batch of either or both, the array of
-    the elementwise root fidelities, pairing like :func:`pure_fidelity`.
+    A float for two single arguments; for a batch of either or both, the
+    array of the elementwise root fidelities, pairing like
+    :func:`pure_fidelity`.
     """
-    if rho1.mat.shape[-1] != rho2.mat.shape[-1]:
-        raise ValueError("density operators have mismatched dimensions")
+    if rho1.dim != rho2.dim:
+        raise ValueError("fidelity arguments have mismatched dimensions")
+    if isinstance(rho2, StateVector):
+        f = np.sqrt(np.maximum(pure_fidelity(rho2, rho1), 0.0))
+        return f if f.ndim else float(f)
     s = _psd_sqrt(rho1.mat)
     w, _ = np.linalg.eigh(s @ rho2.mat @ s)
     f = _clipped_sqrt(w).sum(axis=-1)
     return f if f.ndim else float(f)
 
 
-def bures_distance(rho1: DensityOperator, rho2: DensityOperator):
+def bures_distance(rho1: DensityOperator, rho2: DensityOperator | StateVector):
     """Bures distance sqrt(2) * (1 - sqrt_fidelity)^(1/2), elementwise over
-    a batch like :func:`sqrt_fidelity`."""
+    a batch like :func:`sqrt_fidelity`; rho2 may be a pure StateVector."""
     b = np.sqrt(2.0 * (1.0 - np.minimum(sqrt_fidelity(rho1, rho2), 1.0)))
     return b if b.ndim else float(b)

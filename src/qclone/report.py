@@ -149,7 +149,7 @@ def _report(kind: str, n_or_m: int, info: dict, psi: StateVector, rho: DensityOp
         scaling_factor=fit.s,
         scaling_residual=fit.residual,
         fidelity=pure_fidelity(psi, rho),
-        bures=bures_distance(rho, ideal),
+        bures=bures_distance(rho, psi),
         **rest,
     )
 

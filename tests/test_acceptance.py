@@ -4,7 +4,6 @@ Each test prints a single pass/fail line (visible under ``pytest -s`` or on
 failure) and then asserts the criterion, so a red run names the exact check
 and deviation that broke.
 """
-from qclone import checks
 
 
 def _assert_criterion(result):
@@ -19,49 +18,49 @@ def _assert_criterion(result):
     assert result.passed, f"criterion {result.index} ({result.title}): {detail}"
 
 
-def test_criterion_01_network_clones_at_two_thirds():
-    _assert_criterion(checks.criterion_network_uqcm())
+def test_criterion_01_network_clones_at_two_thirds(unfaulted_result):
+    _assert_criterion(unfaulted_result(1))
 
 
-def test_criterion_02_preparation_circuit_state():
-    _assert_criterion(checks.criterion_prep_circuit())
+def test_criterion_02_preparation_circuit_state(unfaulted_result):
+    _assert_criterion(unfaulted_result(2))
 
 
-def test_criterion_03_network_equals_direct_map():
-    _assert_criterion(checks.criterion_network_equals_map())
+def test_criterion_03_network_equals_direct_map(unfaulted_result):
+    _assert_criterion(unfaulted_result(3))
 
 
-def test_criterion_04_scaling_law_all_copy_counts():
-    _assert_criterion(checks.criterion_scaling_factor())
+def test_criterion_04_scaling_law_all_copy_counts(unfaulted_result):
+    _assert_criterion(unfaulted_result(4))
 
 
-def test_criterion_05_idle_qubit_marginal_law():
-    _assert_criterion(checks.criterion_idle_law())
+def test_criterion_05_idle_qubit_marginal_law(unfaulted_result):
+    _assert_criterion(unfaulted_result(5))
 
 
-def test_criterion_06_clone_pair_pt_spectra():
-    _assert_criterion(checks.criterion_pt_spectra())
+def test_criterion_06_clone_pair_pt_spectra(unfaulted_result):
+    _assert_criterion(unfaulted_result(6))
 
 
-def test_criterion_07_clone_copier_pair_spectrum():
-    _assert_criterion(checks.criterion_a1b1_spectrum())
+def test_criterion_07_clone_copier_pair_spectrum(unfaulted_result):
+    _assert_criterion(unfaulted_result(7))
 
 
-def test_criterion_08_copier_purity_law():
-    _assert_criterion(checks.criterion_copier_purity())
+def test_criterion_08_copier_purity_law(unfaulted_result):
+    _assert_criterion(unfaulted_result(8))
 
 
-def test_criterion_09_multidimensional_closed_forms():
-    _assert_criterion(checks.criterion_mdim())
+def test_criterion_09_multidimensional_closed_forms(unfaulted_result):
+    _assert_criterion(unfaulted_result(9))
 
 
-def test_criterion_10_register_inseparability_windows():
-    _assert_criterion(checks.criterion_register())
+def test_criterion_10_register_inseparability_windows(unfaulted_result):
+    _assert_criterion(unfaulted_result(10))
 
 
-def test_criterion_11_bloch_mean_fidelity():
-    _assert_criterion(checks.criterion_mean_fidelity())
+def test_criterion_11_bloch_mean_fidelity(unfaulted_result):
+    _assert_criterion(unfaulted_result(11))
 
 
-def test_criterion_12_universality_of_quality():
-    _assert_criterion(checks.criterion_universality())
+def test_criterion_12_universality_of_quality(unfaulted_result):
+    _assert_criterion(unfaulted_result(12))

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from qclone import analysis, checks, cloners, network
+from qclone import analysis, checks, cloners, linalg, network
 from qclone.linalg import DensityOperator, StateVector, _trusted
 from qclone.network import Circuit
 
@@ -180,10 +180,10 @@ def _purity_xi_high(monkeypatch):
 def _uqcm_image_of_one_tilted(monkeypatch):
     """1-to-2 isometry with the |1> -> |111> weight scaled by 1 + 1e-9 and
     the image of |1> renormalized, so the machine is no longer universal:
-    the Bures spread is 1.014e-10 against a tolerance of 1e-10.  Scaled by
-    1 + 1e-10 (spread 1.0e-11), this criterion passes and only criterion
-    9's m=2 row catches it.  The module global is patched, so the cached
-    columns stay as they are."""
+    the Bures spread is 1.0139e-10 against a tolerance of 1e-10.  Scaled by
+    1 + 1e-10 (spread 1.0139e-11), this criterion passes and only criterion
+    9's m=2 joint-state row catches it.  The module global is patched, so
+    the cached columns stay as they are."""
     real = cloners._uqcm_columns
 
     def faulty():
@@ -193,6 +193,17 @@ def _uqcm_image_of_one_tilted(monkeypatch):
         return iso
 
     monkeypatch.setattr(cloners, "_uqcm_columns", faulty)
+
+
+def _pure_fidelity_high(monkeypatch, eps=1e-9):
+    """<psi|rho|psi> scaled by 1 + eps inside ``qclone.linalg``, where every
+    root fidelity and Bures distance against a pure ket reads it.  Criterion
+    9's Bures rows move by about 0.48 eps (m=64) to 1.09 eps (m=2) against a
+    tolerance of 1e-9: at eps = 1e-8 all seven fail, at 1e-9 the m=2 row
+    fails, and at 1e-10 every row passes.  Criterion 12 cannot see it: a
+    uniform scale leaves every spread where it was."""
+    real = linalg.pure_fidelity
+    monkeypatch.setattr(linalg, "pure_fidelity", lambda psi, rho: real(psi, rho) * (1.0 + eps))
 
 
 #: (fault, criterion that must catch it, labels of rows that must fail)
@@ -209,6 +220,7 @@ FAULTS = [
     (_marginal_transposed, 5, tuple(f"max idle-qubit deviation, n={n}" for n in range(1, 6))),
     (_gm_image_of_one_long, 4, tuple(f"scaling factor, n={n}" for n in range(1, 7))),
     (_mdim_c_long, 9, ("m=2 joint state equals 1->2 cloner joint",)),
+    (_pure_fidelity_high, 9, ("Bures distance to ideal, m=2",)),
     (_quadrature_weights_high, 11, ("mean fidelity, 1->2 cloner", "mean fidelity, n=2", "mean fidelity, n=3")),
 ]
 
@@ -220,8 +232,8 @@ def _run(criterion: int) -> checks.CriterionResult:
 
 
 @pytest.mark.parametrize("criterion", sorted({c for _, c, _ in FAULTS}))
-def test_detectors_pass_without_faults(criterion):
-    assert _run(criterion).passed
+def test_detectors_pass_without_faults(unfaulted_result, criterion):
+    assert unfaulted_result(criterion).passed
 
 
 @pytest.mark.parametrize("fault,criterion,labels", FAULTS, ids=[f.__name__.strip("_") for f, _, _ in FAULTS])
@@ -229,3 +241,10 @@ def test_fault_is_detected(monkeypatch, fault, criterion, labels):
     fault(monkeypatch)
     failed = [r.label for r in _run(criterion).rows if not r.ok]
     assert set(labels) <= set(failed)
+
+
+def test_pure_fidelity_fault_passes_a_decade_below(monkeypatch):
+    """The threshold of ``_pure_fidelity_high`` is the decade it is planted
+    at: one decade lower, criterion 9 passes."""
+    _pure_fidelity_high(monkeypatch, eps=1e-10)
+    assert _run(9).passed

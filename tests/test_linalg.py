@@ -289,6 +289,66 @@ def test_batched_root_fidelity_equals_scalar_calls():
     assert isinstance(sqrt_fidelity(DensityOperator(layout, pure), DensityOperator(layout, mixed)), float)
 
 
+def _seeded_densities_and_kets(d, count, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    mat = g @ g.conj().swapaxes(-1, -2)
+    mat /= np.trace(mat, axis1=-2, axis2=-1).real[:, None, None]
+    amps = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    layout = SubsystemLayout((d,))
+    return DensityOperator(layout, mat), StateVector(layout, amps)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+def test_root_fidelity_against_ket_equals_general_path(d):
+    """A pure StateVector as the second argument gives what its projector
+    gives through the two eigensolves: the root fidelity within 1e-12, and
+    the Bures distance as its square, since Bures amplifies near F = 1."""
+    rho, kets = _seeded_densities_and_kets(d, 6, 40 + d)
+    # the last pair sits near F = 1, where the general path's error peaks
+    near = 0.999 * outer(StateVector(kets.layout, kets.amps[-1])).mat + 0.001 * np.eye(d) / d
+    rho = DensityOperator(rho.layout, np.concatenate([rho.mat[:-1], near[None]]))
+    np.testing.assert_allclose(sqrt_fidelity(rho, kets), sqrt_fidelity(rho, outer(kets)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        bures_distance(rho, kets) ** 2, bures_distance(rho, outer(kets)) ** 2, rtol=0, atol=1e-12
+    )
+
+
+def test_root_fidelity_against_ket_pairs_batches():
+    """One ket with a batch of operators, a batch of kets with one operator,
+    and two equal batches; each element is its scalar call bit for bit."""
+    rho, kets = _seeded_densities_and_kets(3, 4, 7)
+    rhos = [DensityOperator(rho.layout, mat) for mat in rho.mat]
+    psis = [StateVector(kets.layout, amps) for amps in kets.amps]
+    for fn in (sqrt_fidelity, bures_distance):
+        assert isinstance(fn(rhos[0], psis[0]), float)
+        np.testing.assert_array_equal(fn(rho, psis[0]), [fn(r, psis[0]) for r in rhos])
+        np.testing.assert_array_equal(fn(rhos[0], kets), [fn(rhos[0], p) for p in psis])
+        np.testing.assert_array_equal(fn(rho, kets), [fn(r, p) for r, p in zip(rhos, psis)])
+
+
+def test_root_fidelity_against_ket_in_kernel():
+    """A ket in the kernel of the operator gives a root fidelity of exactly
+    0 and a Bures distance of exactly sqrt(2), also where <psi|rho|psi>
+    comes out negative: an eigenvalue of -1e-11 is within a density
+    operator's tolerance."""
+    layout = SubsystemLayout((2,))
+    rho = DensityOperator(layout, np.stack([np.diag([1.0, 0.0]), np.diag([1.0 + 1e-11, -1e-11])]))
+    one = StateVector(layout, [0, 1])
+    assert pure_fidelity(one, rho)[1] < 0.0
+    np.testing.assert_array_equal(sqrt_fidelity(rho, one), [0.0, 0.0])
+    np.testing.assert_array_equal(bures_distance(rho, one), [math.sqrt(2)] * 2)
+
+
+def test_root_fidelity_rejects_ket_of_wrong_dimension():
+    rho = DensityOperator(SubsystemLayout((2,)), np.eye(2) / 2)
+    psi = StateVector(SubsystemLayout((3,)), [1, 0, 0])
+    for fn in (sqrt_fidelity, bures_distance):
+        with pytest.raises(ValueError, match="mismatched dimensions"):
+            fn(rho, psi)
+
+
 def test_batched_partial_transpose_spectra():
     amps = np.stack([BELL.amps, np.array([0, 1, 0, 0]), np.array([0.6, 0, 0, 0.8])])
     rho = outer(StateVector(SubsystemLayout((2, 2)), amps))

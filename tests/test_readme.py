@@ -17,4 +17,5 @@ def test_library_examples_run_in_one_namespace():
     # the values the second block's comments state
     assert ns["clones"].mat.shape == (3, 2, 2)
     np.testing.assert_allclose(ns["fids"], [7 / 9] * 3, atol=1e-12)
+    np.testing.assert_allclose(ns["dists"], [np.sqrt(2) * (1 - np.sqrt(7 / 9)) ** 0.5] * 3, atol=1e-12)
     np.testing.assert_allclose(ns["mean"], 5 / 6, atol=1e-12)
