@@ -10,8 +10,10 @@ Each choice is its own subcommand and owns its options, which follow it:
     dump-circuit prep1 | dump-circuit copy [--n {1..8}]
 
 Every subcommand takes --output; clone also takes --format (json, csv or
-table, default table).  All angles are radians.  Exit codes: 0 success,
-1 check failure, 2 usage error.
+table, default table).  All angles are radians.  A sweep prints at most
+MAX_ROWS (10**6) rows: a longer LO:HI range or more STEPS is a usage error,
+found before anything is computed.  Exit codes: 0 success, 1 check
+failure, 2 usage error.
 
 Each leaf subparser names its command function and itself in its defaults
 (``run`` and ``parser``; ``reproduce`` needs only ``run``), so ``main``
@@ -40,6 +42,9 @@ from .states import BlochQubit, haar_random_ket, random_bloch
 #: tracer wraps all three) sees the call
 FORMATS = {"json": "to_json", "csv": "to_csv", "table": "to_table"}
 
+#: Most data rows one sweep prints
+MAX_ROWS = 10**6
+
 
 def _emit(text: str, path: str | None) -> None:
     if path is None:
@@ -64,6 +69,8 @@ def _parse_int_range(spec: str, parser: argparse.ArgumentParser, what: str, floo
         parser.error(f"{what}: need LO <= HI, got {spec!r}")
     if lo < floor:
         parser.error(f"{what} values must be >= {floor}")
+    if hi - lo >= MAX_ROWS:
+        parser.error(f"{what}: at most {MAX_ROWS} values, got {spec!r}")
     return range(lo, hi + 1)
 
 
@@ -80,6 +87,8 @@ def _parse_grid(spec: str, parser: argparse.ArgumentParser, what: str) -> np.nda
         parser.error(f"{what}: START and STOP must be finite, got {spec!r}")
     if steps < 2 or not start < stop:
         parser.error(f"{what}: need START < STOP and STEPS >= 2, got {spec!r}")
+    if steps > MAX_ROWS:
+        parser.error(f"{what}: at most {MAX_ROWS} STEPS, got {spec!r}")
     return np.linspace(start, stop, steps)
 
 

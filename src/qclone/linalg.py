@@ -6,6 +6,9 @@ call site.  One index convention holds everywhere: the first subsystem is
 the most significant index (row-major Kronecker ordering).
 
 All spectral quantities come from LAPACK through ``numpy.linalg.eigh``.
+A qubit marginal of a pure state is one ``numpy.vecdot`` call (BLAS
+``zdotc`` per entry and state, numpy >= 2.0); a wider marginal is a blocked
+matrix product.
 """
 from __future__ import annotations
 
@@ -21,8 +24,10 @@ import numpy as np
 TOL_CONSTRUCT = 1e-12
 TOL_SPECTRAL = 1e-10
 
-#: Most amplitudes ``reduced_density`` multiplies in one product; it bounds
-#: the temporaries that wide joint states would otherwise allocate.
+#: Most amplitudes ``reduced_density`` multiplies in one product when it keeps
+#: more than a qubit; it bounds the temporaries (a conjugated copy of each
+#: block) that wide joint states would otherwise allocate.  A qubit marginal
+#: makes no temporary and needs no block.
 _MARGINAL_BLOCK = 2**14
 
 #: Most amplitudes one batched joint state may hold: the size of the single
@@ -256,6 +261,12 @@ def reduced_density(psi: StateVector, keep: Sequence[int]) -> DensityOperator:
     a = psi.amps.reshape(lead + dims).transpose(axes)
     dkeep = math.prod(dims[j] for j in keep)
     a = a.reshape((batch, dkeep, -1))
+    layout = SubsystemLayout(tuple(dims[j] for j in keep))
+    if dkeep == 2:
+        # a qubit: entry (i, j) is the conjugated dot product vecdot(a_j, a_i),
+        # one per entry and state, with no conjugated copy and no product
+        red = np.vecdot(a[:, None, :, :], a[:, :, None, :])
+        return _trusted(DensityOperator, layout=layout, mat=red.reshape(lead + (2, 2)))
     cols = a.shape[-1]
     # each state sums the same column blocks in the same order at any batch
     # size, so a batch equals its scalar calls bit for bit and costs the same
@@ -270,7 +281,6 @@ def reduced_density(psi: StateVector, keep: Sequence[int]) -> DensityOperator:
         for j in range(cstep, cols, cstep):
             b = a[k:k + kstep, :, j:j + cstep]
             out += b @ b.conj().swapaxes(-1, -2)
-    layout = SubsystemLayout(tuple(dims[j] for j in keep))
     return _trusted(DensityOperator, layout=layout, mat=red.reshape(lead + (dkeep, dkeep)))
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -42,6 +42,16 @@ class BlochQubit:
         if not ok.all():
             raise ValueError(f"phi must lie in [0, 2*pi), got {_first_failing(phi, ok)!r}")
 
+    @cached_property
+    def _ket(self) -> StateVector:
+        # computed on first use and kept: the quadrature and every cloner it
+        # calls share one ket per block (cached_property writes the instance
+        # dict directly, which a frozen dataclass allows)
+        amps = np.empty(np.shape(self.theta) + (2,), dtype=np.complex128)
+        amps[..., 0] = np.sin(self.theta / 2.0) * np.exp(1j * self.phi)
+        amps[..., 1] = np.cos(self.theta / 2.0)
+        return _trusted(StateVector, layout=_QUBIT, amps=amps)
+
 
 def _first_failing(x: np.ndarray, ok: np.ndarray) -> float:
     return x.reshape(-1)[np.argmin(ok.reshape(-1))].item()
@@ -52,11 +62,9 @@ _QUBIT = SubsystemLayout((2,))
 
 def bloch_ket(q: BlochQubit) -> StateVector:
     """Single-qubit ket for the given polar angles; a batched BlochQubit
-    gives the (K, 2) batch of kets."""
-    amps = np.empty(np.shape(q.theta) + (2,), dtype=np.complex128)
-    amps[..., 0] = np.sin(q.theta / 2.0) * np.exp(1j * q.phi)
-    amps[..., 1] = np.cos(q.theta / 2.0)
-    return _trusted(StateVector, layout=_QUBIT, amps=amps)
+    gives the (K, 2) batch of kets.  Each BlochQubit computes its kets once;
+    later calls return the same frozen StateVector."""
+    return q._ket
 
 
 def register_ket(alpha) -> StateVector:

@@ -164,6 +164,38 @@ def test_clone_mdim_checks_range_before_drawing(capsys, monkeypatch, m):
     assert f"dimension is limited to 2 <= m <= 64, got {m}" in capsys.readouterr().err
 
 
+class Reached(Exception):
+    """Raised by a patched function the command reached."""
+
+
+def reach(*args):
+    raise Reached
+
+
+@pytest.mark.parametrize(
+    "argv, patched",
+    [
+        (("sweep", "register-negativity", "--alpha2", "0:1:{rows}", "--method", "local"), (np, "linspace")),
+        (("sweep", "mdim-scaling", "--m", "2:{rows_from_2}"), (cli, "mdim_formulas")),
+        (("sweep", "gm-fidelity", "--n", "1:{rows}"), (cli, "scaling_factor_formula")),
+    ],
+)
+@pytest.mark.parametrize("rows", [10**6, 10**6 + 1, 3000000000])
+def test_sweep_checks_row_count_before_computing(capsys, monkeypatch, argv, patched, rows):
+    # a sweep of more than MAX_ROWS rows is a usage error before any row is
+    # computed, so a huge STEPS or HI costs no memory; 10**6 rows still run
+    monkeypatch.setattr(*patched, reach)
+    argv = [a.format(rows=rows, rows_from_2=rows + 1) for a in argv]
+    if rows == cli.MAX_ROWS:
+        with pytest.raises(Reached):
+            main(argv)
+        return
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"at most {cli.MAX_ROWS}" in capsys.readouterr().err
+
+
 def test_output_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out = run(capsys, "clone", "uqcm", "--format", "json", "--output", str(path))

@@ -388,6 +388,8 @@ def marginal_cases(draw):
 @example(((2,) * 15, [14, 0, 3], 3, 1))
 @example(((3, 100, 100), [0], 3, 2))
 @example(((2,) * 12, [11, 5, 0, 8], 100, 3))
+@example(((2,) * 7, [0], 256, 4))  # one quadrature block of 1 -> 4 clones
+@example(((2,) * 10, [4], 40, 5))  # one wire of a batch wider than the product block
 def test_batched_marginal_equals_scalar_calls(case):
     """reduced_density of a batch is, bit for bit, the stack of its scalar
     calls, at any batch size and for states wider than one product block."""

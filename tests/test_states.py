@@ -61,6 +61,20 @@ class TestBlochQubit:
         np.testing.assert_allclose(amps[0], math.sin(0.55) * np.exp(2.3j), atol=1e-15)
         np.testing.assert_allclose(amps[1], math.cos(0.55), atol=1e-15)
 
+    @pytest.mark.parametrize("theta, phi", [(1.1, 2.3), (np.array([0.0, 1.1, math.pi]), np.array([0.4, 2.3, 6.0]))])
+    def test_kets_are_computed_once(self, theta, phi):
+        # a second call returns the kept kets, bit for bit those a fresh
+        # BlochQubit of the same angles computes
+        q = BlochQubit(theta, phi)
+        first = bloch_ket(q)
+        assert bloch_ket(q) is first
+        assert not first.amps.flags.writeable
+        fresh = np.empty(np.shape(theta) + (2,), dtype=np.complex128)
+        fresh[..., 0] = np.sin(np.asarray(theta) / 2.0) * np.exp(1j * np.asarray(phi))
+        fresh[..., 1] = np.cos(np.asarray(theta) / 2.0)
+        assert np.array_equal(bloch_ket(q).amps, fresh)
+        assert np.array_equal(bloch_ket(q).amps, bloch_ket(BlochQubit(theta, phi)).amps)
+
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, math.sqrt(0.3)])
 def test_register_ket_is_normalized(alpha):
