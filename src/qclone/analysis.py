@@ -12,9 +12,10 @@ package's basis order (first qubit most significant).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -80,8 +81,15 @@ def fidelity_formula(n: int) -> float:
 #: Most inputs one ``mean_fidelity`` callback call receives: 4 rows of the
 #: default 64 x 64 grid.  Larger blocks run faster but raise peak memory, as
 #: each block builds its joint states anew (512 KB for 256 inputs of the
-#: 1 -> 4 cloner).
+#: 1 -> 4 cloner).  The blocks themselves are kept between calls (see
+#: ``_KEPT_GRID``), so only the callback's work is redone per call.
 _QUADRATURE_BLOCK = 256
+
+#: Most inputs of a quadrature grid whose blocks, with their kets, are kept
+#: from one ``mean_fidelity`` call to the next (48 bytes an input: 3 MB at
+#: the bound; the default grid has 4,096 inputs).  A larger grid is built
+#: block by block on every call and never held whole.
+_KEPT_GRID = 2**16
 
 #: Bisection levels each batched call of ``inseparability_boundary`` decides
 #: (15 midpoints a search); deeper trees cost more than the calls they save.
@@ -97,6 +105,25 @@ def _legendre_rule(n_cos: int) -> tuple[np.ndarray, np.ndarray]:
     return _freeze(thetas), _freeze(weights)
 
 
+def _grid_blocks(n_cos: int, n_phi: int) -> Iterator[BlochQubit]:
+    """The quadrature grid as batched BlochQubits of whole rows, in node
+    order: ``max(1, _QUADRATURE_BLOCK // n_phi)`` rows a block, the last
+    block holding what is left."""
+    thetas, _ = _legendre_rule(n_cos)
+    rows = max(1, _QUADRATURE_BLOCK // n_phi)
+    phis = np.tile(2.0 * math.pi * np.arange(n_phi) / n_phi, rows)
+    for i in range(0, n_cos, rows):
+        block = thetas[i:i + rows]
+        yield BlochQubit(np.repeat(block, n_phi), phis[:block.size * n_phi])
+
+
+@lru_cache(maxsize=1)
+def _kept_grid(n_cos: int, n_phi: int) -> tuple[BlochQubit, ...]:
+    """The blocks of one grid of at most ``_KEPT_GRID`` inputs, validated
+    once; each computes its kets on first use and keeps them."""
+    return tuple(_grid_blocks(n_cos, n_phi))
+
+
 def mean_fidelity(
     clone_marginal_fn: Callable[[BlochQubit], DensityOperator],
     n_cos: int = 64,
@@ -105,29 +132,33 @@ def mean_fidelity(
     """Average <psi|rho(psi)|psi> over the Bloch sphere.
 
     Gauss-Legendre nodes in cos(theta) crossed with a uniform periodic grid
-    in phi; both resolutions must be at least 16.  For every machine in this
-    package the integrand is low-order in cos(theta), so the quadrature is
-    exact far below the 1e-6 tolerance the checks use.
+    in phi; both resolutions must be integers of at least 16.  For every
+    machine in this package the integrand is low-order in cos(theta), so
+    the quadrature is exact far below the 1e-6 tolerance the checks use.
 
     ``clone_marginal_fn`` is called once per block of whole grid rows, in
     node order: a batched BlochQubit holding each row's ``n_phi`` angles in
     turn.  A block holds at most 256 inputs, or one row when ``n_phi``
     exceeds 256, so the default 64 x 64 grid takes 16 calls.  The callback
     returns the batch of clone marginals, or one DensityOperator that then
-    serves every input of the block.
+    serves every input of the block.  A grid of at most 2**16 inputs is
+    kept: calling again with the same grid hands the callback the same
+    blocks, whose kets are already computed.
     """
+    try:
+        n_cos, n_phi = operator.index(n_cos), operator.index(n_phi)
+    except TypeError:
+        raise ValueError(f"quadrature grid sizes must be integers, got {n_cos!r} x {n_phi!r}") from None
     if n_cos < 16 or n_phi < 16:
         raise ValueError("quadrature grid must be at least 16 x 16")
-    thetas, weights = _legendre_rule(n_cos)
-    rows = max(1, _QUADRATURE_BLOCK // n_phi)
-    phis = np.tile(2.0 * math.pi * np.arange(n_phi) / n_phi, rows)
+    _, weights = _legendre_rule(n_cos)
+    blocks = _kept_grid(n_cos, n_phi) if n_cos * n_phi <= _KEPT_GRID else _grid_blocks(n_cos, n_phi)
+    row_sums = np.concatenate(
+        [pure_fidelity(bloch_ket(q), clone_marginal_fn(q)).reshape(-1, n_phi).sum(axis=-1) for q in blocks]
+    )
     total = 0.0
-    for i in range(0, n_cos, rows):
-        block = thetas[i:i + rows]
-        q = BlochQubit(np.repeat(block, n_phi), phis[:block.size * n_phi])
-        f = pure_fidelity(bloch_ket(q), clone_marginal_fn(q))
-        for w, row_sum in zip(weights[i:i + rows], f.reshape(block.size, n_phi).sum(axis=-1)):
-            total += (w / 2.0) / n_phi * row_sum
+    for w, row_sum in zip(weights, row_sums):
+        total += (w / 2.0) / n_phi * row_sum
     return float(total)
 
 

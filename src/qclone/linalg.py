@@ -5,7 +5,9 @@ partial traces, marginals and partial transposes need no bookkeeping at the
 call site.  One index convention holds everywhere: the first subsystem is
 the most significant index (row-major Kronecker ordering).
 
-All spectral quantities come from LAPACK through ``numpy.linalg.eigh``.
+All spectral quantities come from LAPACK: a spectrum alone through
+``numpy.linalg.eigvalsh``, and a matrix square root, which needs the
+eigenvectors too, through ``numpy.linalg.eigh``.
 A qubit marginal of a pure state is one ``numpy.vecdot`` call (BLAS
 ``zdotc`` per entry and state, numpy >= 2.0); a wider marginal is a blocked
 matrix product.
@@ -306,8 +308,7 @@ def hermitian_eigenvalues(h) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix, or the (K, d) stack
     of them for a batch.  Accepts a HermitianMatrix, a DensityOperator or a
     plain array, which is validated as a HermitianMatrix first."""
-    w, _ = np.linalg.eigh(_hermitian(h).mat)
-    return w
+    return np.linalg.eigvalsh(_hermitian(h).mat)
 
 
 def von_neumann_entropy(rho):
@@ -375,8 +376,7 @@ def sqrt_fidelity(rho1: DensityOperator, rho2: DensityOperator | StateVector):
         f = np.sqrt(np.maximum(pure_fidelity(rho2, rho1), 0.0))
         return f if f.ndim else float(f)
     s = _psd_sqrt(rho1.mat)
-    w, _ = np.linalg.eigh(s @ rho2.mat @ s)
-    f = _clipped_sqrt(w).sum(axis=-1)
+    f = _clipped_sqrt(np.linalg.eigvalsh(s @ rho2.mat @ s)).sum(axis=-1)
     return f if f.ndim else float(f)
 
 

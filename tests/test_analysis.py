@@ -133,6 +133,54 @@ class TestMeanFidelity:
         with pytest.raises(ValueError):
             mean_fidelity(lambda q: None, n_cos=8)
 
+    @pytest.mark.parametrize("grid", [(64.0, 64), (64, 64.0), (64.5, 64), ("64", 64), (64, None)])
+    def test_grid_sizes_must_be_integers(self, grid):
+        mean_fidelity(lambda q: DensityOperator(SubsystemLayout((2,)), np.eye(2) / 2))  # keeps (64, 64)
+        with pytest.raises(ValueError, match="integers"):
+            mean_fidelity(lambda q: None, *grid)
+
+    def test_numpy_integer_grid_sizes(self):
+        rho = DensityOperator(SubsystemLayout((2,)), np.eye(2) / 2)
+        assert mean_fidelity(lambda q: rho, np.int64(16), np.int32(16)) == mean_fidelity(lambda q: rho, 16, 16)
+
+    @staticmethod
+    def _recorded(calls: list):
+        def marginal(q):
+            calls.append((q, bloch_ket(q)))
+            return uqcm_map(q).clone_marginal(0)
+
+        return marginal
+
+    def test_repeated_grid_reuses_blocks_and_kets(self):
+        first, second, cold = [], [], []
+        mean_fidelity(self._recorded(first), 32, 32)
+        warm = mean_fidelity(self._recorded(second), 32, 32)
+        assert len(first) == len(second) == 4
+        for (q1, ket1), (q2, ket2) in zip(first, second):
+            assert q2 is q1 and ket2 is ket1
+        analysis._kept_grid.cache_clear()
+        assert mean_fidelity(self._recorded(cold), 32, 32) == warm  # bit for bit
+        assert all(q is not q1 for (q, _), (q1, _) in zip(cold, first))
+
+    def test_streamed_grid_matches_kept_grid(self, monkeypatch):
+        kept = mean_fidelity(self._recorded([]), 32, 32)
+        monkeypatch.setattr(analysis, "_KEPT_GRID", 0)
+        calls = []
+        assert mean_fidelity(self._recorded(calls), 32, 32) == kept  # bit for bit
+        assert [q.theta.shape for q, _ in calls] == [(256,)] * 4
+
+    def test_grid_above_the_bound_is_not_kept(self):
+        rho = DensityOperator(SubsystemLayout((2,)), np.eye(2) / 2)
+        analysis._kept_grid.cache_clear()
+        mean_fidelity(lambda q: rho, 256, analysis._KEPT_GRID // 256)
+        assert analysis._kept_grid.cache_info().currsize == 1
+        analysis._kept_grid.cache_clear()
+        blocks = []
+        for _ in range(2):
+            mean_fidelity(lambda q: blocks.append(q) or rho, 257, analysis._KEPT_GRID // 256)
+        assert analysis._kept_grid.cache_info().currsize == 0
+        assert len(blocks) == 2 * 257 and blocks[0] is not blocks[257]
+
 
 class TestPptSeparable:
     def test_bell_state(self):

@@ -243,6 +243,17 @@ def test_fault_is_detected(monkeypatch, fault, criterion, labels):
     assert set(labels) <= set(failed)
 
 
+def test_quadrature_weight_fault_is_detected_with_the_grid_kept(monkeypatch):
+    """The kept quadrature grid holds angles and kets only: the weights are
+    read on every call, so a grid kept before the fault does not hide it."""
+    analysis._kept_grid.cache_clear()  # kept by no earlier test, faulted or not
+    analysis.mean_fidelity(lambda q: cloners.uqcm_map(q).clone_marginal(0))
+    assert analysis._kept_grid.cache_info().currsize == 1
+    _quadrature_weights_high(monkeypatch)
+    failed = [r.label for r in _run(11).rows if not r.ok]
+    assert failed == ["mean fidelity, 1->2 cloner", "mean fidelity, n=2", "mean fidelity, n=3"]
+
+
 def test_pure_fidelity_fault_passes_a_decade_below(monkeypatch):
     """The threshold of ``_pure_fidelity_high`` is the decade it is planted
     at: one decade lower, criterion 9 passes."""
