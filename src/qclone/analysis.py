@@ -27,6 +27,7 @@ from .linalg import (
     TOL_SPECTRAL,
     _freeze,
     _inner,
+    _size,
     hermitian_eigenvalues,
     outer,
     partial_transpose,
@@ -70,11 +71,13 @@ def extract_scaling_factor(rho_out: DensityOperator, rho_id: DensityOperator) ->
 
 def scaling_factor_formula(n: int) -> float:
     """Scaling factor of the 1-to-(n+1) cloner: 1/3 + 2/(3(n+1))."""
+    n = _size(n, "need an integer n >= 1", 1)
     return 1.0 / 3.0 + 2.0 / (3.0 * (n + 1))
 
 
 def fidelity_formula(n: int) -> float:
     """Clone fidelity of the 1-to-(n+1) cloner: 2/3 + 1/(3(n+1))."""
+    n = _size(n, "need an integer n >= 1", 1)
     return 2.0 / 3.0 + 1.0 / (3.0 * (n + 1))
 
 
@@ -90,11 +93,6 @@ _QUADRATURE_BLOCK = 256
 #: the bound; the default grid has 4,096 inputs).  A larger grid is built
 #: block by block on every call and never held whole.
 _KEPT_GRID = 2**16
-
-#: Bisection levels each batched call of ``inseparability_boundary`` decides
-#: (15 midpoints a search); deeper trees cost more than the calls they save.
-_BISECTION_LEVELS = 4
-
 
 @lru_cache(maxsize=None)
 def _legendre_rule(n_cos: int) -> tuple[np.ndarray, np.ndarray]:
@@ -186,8 +184,7 @@ def _two_qubit(rows, denom: float, lead: tuple[int, ...]) -> DensityOperator:
 def clone_pair_density_formula(n: int, q: BlochQubit) -> DensityOperator:
     """Closed-form two-clone density operator of the 1-to-(n+1) cloner, over
     |00>,|01>,|10>,|11>; a batched ``q`` gives the batch."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _size(n, "need an integer n >= 1", 1)
     amps = bloch_ket(q).amps
     a, b = amps.reshape(-1, 2).T  # arrays even for one qubit: one arithmetic for both
     aa, bb = abs(a) ** 2, abs(b) ** 2
@@ -208,8 +205,7 @@ def clone_pair_density_formula(n: int, q: BlochQubit) -> DensityOperator:
 def pt_spectrum_formula(n: int) -> np.ndarray:
     """Ascending eigenvalues of the partially transposed two-clone state:
     {1/6, 1/6, 1/3 +- sqrt(2(5+4n+n^2))/(6(n+1))}, independent of the input."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _size(n, "need an integer n >= 1", 1)
     r = math.sqrt(2.0 * (5.0 + 4.0 * n + n * n)) / (6.0 * (n + 1.0))
     return np.sort(np.array([1.0 / 6.0, 1.0 / 6.0, 1.0 / 3.0 - r, 1.0 / 3.0 + r]))
 
@@ -260,8 +256,7 @@ def idle_qubit_check(out: CloneOutput, q: BlochQubit):
 def purity_xi(n: int) -> float:
     """Copier purity after producing n+1 clones:
     2(2n^2+7n+6) / (3(n+1)(n+2)^2)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _size(n, "need an integer n >= 1", 1)
     return (2.0 * (2.0 * n * n + 7.0 * n + 6.0)) / (3.0 * (n + 1.0) * (n + 2.0) ** 2)
 
 
@@ -279,8 +274,7 @@ def mdim_formulas(m: int) -> tuple[float, float, float, float]:
     sqrt(2) (1 - sqrt((m+3)/(2(m+1))))^(1/2); clone entropy
     ln(2(m+1)) - (m+3)/(2(m+1)) ln(m+3); copier entropy
     ln(m+1) - 2 ln(2)/(m+1).  All entropies in nats."""
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+    m = _size(m, "need an integer m >= 2", 2)
     s = (m + 2.0) / (2.0 * (m + 1.0))
     bures = math.sqrt(2.0 * (1.0 - math.sqrt((m + 3.0) / (2.0 * (m + 1.0)))))
     s_clone = math.log(2.0 * (m + 1.0)) - (m + 3.0) / (2.0 * (m + 1.0)) * math.log(m + 3.0)
@@ -299,7 +293,11 @@ def mdim_copier_formula(phi: StateVector) -> DensityOperator:
 
 @dataclass(frozen=True)
 class SeparabilityInterval:
-    """Open interval of alpha^2 on which the clone pair is inseparable."""
+    """Open interval of alpha^2 on which the smallest eigenvalue of the
+    partially transposed clone pair is negative, so the pair is inseparable.
+    ``ppt_separable`` counts an eigenvalue down to -1e-10 as separable, so
+    points less than about 2e-10 inside the interval still read separable
+    there."""
 
     lower: float
     upper: float
@@ -309,44 +307,38 @@ class SeparabilityInterval:
 
 
 def inseparability_boundary(method: str, resolution: float = 1e-8) -> SeparabilityInterval:
-    """Bisect for the alpha^2 boundaries where the cloned register pair
-    switches between separable and inseparable.  A resolution that is not
-    finite, or is under 4 * spacing(1.0) (about 8.9e-16), raises
-    ValueError: a search stops once its bracket is at most a quarter of the
-    resolution wide, and no bracket in [0.5, 1] narrows below the spacing
-    of doubles there (half of spacing(1.0)).  Each pass decides the next
-    ``_BISECTION_LEVELS`` levels of both searches with one batched
-    ``register_clone`` call over every midpoint they may take, so the
-    result is bit for bit that of one midpoint at a time."""
+    """The alpha^2 roots of f, the smallest partially transposed eigenvalue
+    of the cloned register pair, where the pair switches between separable
+    and inseparable.  A resolution that is not finite, or is under
+    4 * spacing(1.0) (about 8.9e-16), raises ValueError: the search stops
+    once every bracket is at most a quarter of the resolution wide, and no
+    bracket in [0.5, 1] narrows below the spacing of doubles there (half of
+    spacing(1.0)).  Each boundary is the midpoint of its final bracket, so
+    it lies within resolution / 8 of a sign change of f.
+
+    One call over alpha^2 = 0.5, 0, 1 must read inseparable, separable,
+    separable.  Then Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971)
+    narrows the brackets (0, 0.5) and (1, 0.5) together, one batched
+    ``register_clone`` call of two points a step, and takes a bracket's
+    midpoint when its secant point does not land strictly inside it."""
     if not (math.isfinite(resolution) and resolution >= 4 * np.spacing(1.0)):
         raise ValueError(f"resolution must be finite and at least 4 * spacing(1.0), got {resolution}")
-
-    def inseparable(alpha2: np.ndarray) -> np.ndarray:
-        sep, _ = ppt_separable(register_clone(method, np.sqrt(alpha2)))
-        return ~sep
-
-    if inseparable(np.array([0.5, 0.0, 1.0])).tolist() != [True, False, False]:
+    sep, f = ppt_separable(register_clone(method, np.sqrt([0.5, 0.0, 1.0])))
+    if (~sep).tolist() != [True, False, False]:
         raise ArithmeticError("unexpected separability pattern; cannot bracket")
-
-    def wide(ends: tuple[float, float]) -> bool:
-        return abs(ends[1] - ends[0]) > resolution / 4.0
-
-    inner = 2 ** _BISECTION_LEVELS - 1
-    searches = [(0.0, 0.5), (1.0, 0.5)]  # (separable end, inseparable end): lower, upper
-    while any(map(wide, searches)):
-        # heap order: node j splits at its midpoint into 2j+1 (inseparable) and 2j+2 (separable)
-        trees = [[ends] for ends in searches]
-        for tree in trees:
-            for j in range(inner):
-                s, i = tree[j]
-                tree += [(s, 0.5 * (s + i)), (0.5 * (s + i), i)]
-        verdicts = inseparable(np.array([0.5 * (s + i) for tree in trees for s, i in tree[:inner]]))
-        for k, (tree, v) in enumerate(zip(trees, verdicts.reshape(len(trees), inner))):
-            j = 0
-            while j < inner and wide(tree[j]):
-                j = 2 * j + (1 if v[j] else 2)
-            searches[k] = tree[j]
-    return SeparabilityInterval(*(0.5 * (s + i) for s, i in searches))
+    # row k is search k (lower, upper): its f >= 0 end in column 0, its f < 0 end in column 1
+    ends, f_ends = np.array([[0.0, 0.5], [1.0, 0.5]]), f[[[1, 0], [2, 0]]]
+    rows, last = np.arange(2), np.full(2, -1)
+    while (abs(ends[:, 1] - ends[:, 0]) > resolution / 4.0).any():
+        (a, b), (fa, fb) = ends.T, f_ends.T
+        x = (a * fb - b * fa) / (fb - fa)
+        x = np.where((np.minimum(a, b) < x) & (x < np.maximum(a, b)), x, 0.5 * (a + b))
+        _, fx = ppt_separable(register_clone(method, np.sqrt(x)))
+        side = (fx < 0).astype(int)  # the end x replaces
+        # Illinois: an end kept twice in a row counts half its value
+        f_ends[rows, 1 - side] /= np.where(side == last, 2.0, 1.0)
+        ends[rows, side], f_ends[rows, side], last = x, fx, side
+    return SeparabilityInterval(*ends.mean(axis=1).tolist())
 
 
 #: Closed-form register pair coefficients by method, (w, m, D, c): diagonal

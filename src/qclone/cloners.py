@@ -18,6 +18,7 @@ from .linalg import (
     SubsystemLayout,
     TOL_CONSTRUCT,
     _freeze,
+    _size,
     _trusted,
     reduced_density,
 )
@@ -132,8 +133,7 @@ def mdim_coefficients(m: int) -> tuple[float, float]:
     """Amplitudes (c, d) of the M-dimensional cloning transformation:
     c = sqrt(2/(m+1)), d = sqrt(1/(2(m+1))); these satisfy both the
     unitarity constraint c^2 + 2(m-1)d^2 = 1 and c^2 = 2cd."""
-    if not 2 <= m <= 64:
-        raise ValueError(f"dimension is limited to 2 <= m <= 64, got {m}")
+    m = _size(m, "dimension is limited to 2 <= m <= 64", 2, 64)
     c = math.sqrt(2.0 / (m + 1))
     d = math.sqrt(1.0 / (2.0 * (m + 1)))
     return c, d

@@ -81,6 +81,19 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _size(value, rule: str, least: int, most: float = math.inf) -> int:
+    """``value`` as an int in [least, most], or ValueError("<rule>, got
+    <value>").  As in ``SubsystemLayout``, operator.index takes Python and
+    numpy integers and rejects a float or a string instead of truncating it."""
+    try:
+        size = operator.index(value)
+    except TypeError:
+        size = None
+    if size is None or not least <= size <= most:
+        raise ValueError(f"{rule}, got {value}")
+    return size
+
+
 @dataclass(frozen=True)
 class SubsystemLayout:
     """Ordered subsystem dimensions of a tensor-product space."""

@@ -34,6 +34,7 @@ from qclone.cloners import (
 from qclone.linalg import (
     DensityOperator,
     SubsystemLayout,
+    TOL_SPECTRAL,
     bures_distance,
     hermitian_eigenvalues,
     outer,
@@ -107,6 +108,22 @@ def test_formula_values():
         np.testing.assert_allclose(fidelity_formula(n), (1 + s) / 2, atol=1e-15)
     # the many-copy limit approaches the measurement bound from above
     assert scaling_factor_formula(100) < 0.34
+
+
+@pytest.mark.parametrize(
+    "formula", [scaling_factor_formula, fidelity_formula, purity_xi, pt_spectrum_formula, mdim_formulas]
+)
+@pytest.mark.parametrize("size", [0, -1, 1.0, 3.5, "3", None])
+def test_closed_forms_reject_sizes_without_a_value(formula, size):
+    """Copy counts start at 1 and dimensions at 2; a float, even a whole
+    one, or a string is refused rather than truncated."""
+    with pytest.raises(ValueError, match="integer"):
+        formula(size)
+
+
+def test_closed_forms_take_numpy_integers():
+    assert scaling_factor_formula(np.int64(3)) == scaling_factor_formula(3) == 0.5
+    assert mdim_formulas(np.int32(2)) == mdim_formulas(2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -378,54 +395,84 @@ class TestRegisterAnalysis:
         assert calls == []
 
 
-def _sequential_boundary(method, resolution):
-    """Reference bisection: one scalar register_clone and ppt_separable
-    call per midpoint."""
+def _recorded_search(monkeypatch, method, resolution):
+    """Run the boundary search and return its interval and, call by call,
+    the alpha^2 points it evaluated with the smallest PT eigenvalue at each."""
+    calls = []
 
-    def inseparable(alpha2):
-        sep, _ = ppt_separable(register_clone(method, math.sqrt(alpha2)))
-        return not sep
+    def recording(m, alpha):
+        rho = register_clone(m, alpha)
+        calls.append((np.square(alpha), ppt_separable(rho)[1]))
+        return rho
 
-    def bisect(sep_end, insep_end):
-        while abs(insep_end - sep_end) > resolution / 4.0:
-            mid = 0.5 * (sep_end + insep_end)
-            if inseparable(mid):
-                insep_end = mid
-            else:
-                sep_end = mid
-        return 0.5 * (sep_end + insep_end)
-
-    return bisect(0.0, 0.5), bisect(1.0, 0.5)
+    monkeypatch.setattr(analysis, "register_clone", recording)
+    return inseparability_boundary(method, resolution), calls
 
 
-class TestBatchedBisection:
+WINDOWS = {"local": LOCAL_WINDOW, "nonlocal": NONLOCAL_WINDOW}
+
+
+class TestIllinoisSearch:
+    @pytest.mark.parametrize("method", ["local", "nonlocal"])
+    @pytest.mark.parametrize("resolution", [1e-8, 1e-15])
+    def test_lands_on_analytic_windows(self, method, resolution):
+        iv = inseparability_boundary(method, resolution)
+        np.testing.assert_allclose((iv.lower, iv.upper), WINDOWS[method], rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("method", ["local", "nonlocal"])
     @pytest.mark.parametrize("resolution", [1e-8, 1e-3, 0.3, 2.0, 1e-12, 1e-15])
-    def test_equals_sequential_bisection(self, method, resolution):
-        """Equal bit for bit down to 1e-15, near the finest resolution
-        accepted (4 * spacing(1.0), about 8.9e-16)."""
-        iv = inseparability_boundary(method, resolution)
-        assert (iv.lower, iv.upper) == _sequential_boundary(method, resolution)
-
-    @pytest.mark.parametrize("levels", range(1, 7))
-    def test_subtree_depth_leaves_result_unchanged(self, monkeypatch, levels):
-        expected = [inseparability_boundary(m) for m in ("local", "nonlocal")]
-        monkeypatch.setattr(analysis, "_BISECTION_LEVELS", levels)
-        assert [inseparability_boundary(m) for m in ("local", "nonlocal")] == expected
+    def test_brackets_hold_the_sign_change(self, monkeypatch, method, resolution):
+        """Each boundary is the midpoint of a bracket at most resolution/4
+        wide: the nearest evaluated points on either side of the sign change
+        of f.  alpha^2 is read back as the square of the alpha evaluated,
+        a few units of roundoff (4e-16) off."""
+        iv, calls = _recorded_search(monkeypatch, method, resolution)
+        x = np.concatenate([a for a, _ in calls])
+        f = np.concatenate([w for _, w in calls])
+        sep, insep = f >= 0, f < 0
+        brackets = [
+            (x[sep & (x < 0.5)].max(), x[insep].min()),
+            (x[sep & (x > 0.5)].min(), x[insep].max()),
+        ]
+        for (sep_end, insep_end), got in zip(brackets, (iv.lower, iv.upper)):
+            assert abs(insep_end - sep_end) <= resolution / 4.0 + 4e-16
+            assert got == pytest.approx(0.5 * (sep_end + insep_end), rel=0, abs=4e-16)
 
     @pytest.mark.parametrize("method", ["local", "nonlocal"])
-    def test_batched_call_count(self, monkeypatch, method):
-        """At 1e-8 each search takes 28 levels: one bracket call of three
-        points, then 7 passes of 4 levels each."""
-        sizes = []
+    def test_call_sizes(self, monkeypatch, method):
+        """One bracket call of three points, then steps of two, one point a
+        search; at 1e-8 no method needs more than 12 calls."""
+        _, calls = _recorded_search(monkeypatch, method, 1e-8)
+        sizes = [a.size for a, _ in calls]
+        assert sizes[0] == 3 and set(sizes[1:]) == {2}
+        assert len(sizes) <= 12
 
-        def counting(m, alpha):
-            sizes.append(np.size(alpha))
-            return register_clone(m, alpha)
+    @pytest.mark.parametrize("method", ["local", "nonlocal"])
+    def test_secant_outside_the_bracket_falls_back_to_the_midpoint(self, monkeypatch, method):
+        """With f read as -5e-11 at alpha^2 = 0, still separable within
+        the PPT tolerance, f has one sign over the lower search's first
+        bracket, so its first secant point falls outside it.  The search
+        takes the midpoint instead, and both boundaries, whose searches no
+        longer advance alike, still land within resolution/8 of the
+        analytic windows."""
+        real = analysis.ppt_separable
 
-        monkeypatch.setattr(analysis, "register_clone", counting)
-        inseparability_boundary(method, 1e-8)
-        assert sizes == [3] + [30] * 7
+        def zero_just_negative(rho):
+            _, w = real(rho)
+            mat = rho.mat.real
+            at_zero = (mat[..., 0, 3] == 0) & (mat[..., 0, 0] < mat[..., 3, 3])  # no |00> weight
+            w = np.where(at_zero, -5e-11, w)
+            return w >= -TOL_SPECTRAL, w
+
+        monkeypatch.setattr(analysis, "ppt_separable", zero_just_negative)
+        iv = inseparability_boundary(method, 1e-8)
+        np.testing.assert_allclose((iv.lower, iv.upper), WINDOWS[method], rtol=0, atol=1e-8 / 8)
+
+    @pytest.mark.parametrize("method", ["local", "nonlocal"])
+    def test_coarse_resolution_takes_one_call(self, monkeypatch, method):
+        iv, calls = _recorded_search(monkeypatch, method, 2.0)
+        assert len(calls) == 1
+        assert (iv.lower, iv.upper) == (0.25, 0.75)
 
 
 def test_bures_against_pure_shortcut():

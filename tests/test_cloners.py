@@ -131,6 +131,9 @@ class TestMdim:
             mdim_coefficients(1)
         with pytest.raises(ValueError):
             mdim_coefficients(65)
+        for m in (3.5, 4.0, "4", None):
+            with pytest.raises(ValueError, match="2 <= m <= 64"):
+                mdim_coefficients(m)
 
 
 class TestCloneOutput:

@@ -15,19 +15,40 @@ from qclone.linalg import DensityOperator, StateVector, _trusted
 from qclone.network import Circuit
 
 LOCAL_ONSET = 0.5 - math.sqrt(39.0) / 16.0
+LOCAL_BOUNDARY_ROWS = ("local inseparability onset (alpha^2)", "local inseparability end (alpha^2)")
 
 
 def _ppt_flipped_above_local_onset(monkeypatch):
-    """Peres-Horodecki verdict flipped for alpha^2 in a band 1e-5 wide just
-    above the local onset, which moves the onset the bisection finds."""
+    """Peres-Horodecki test broken for alpha^2 in a band 1e-5 wide just
+    above the local onset: the verdict flips and the smallest eigenvalue
+    changes sign with it, so the onset the root search finds moves to the
+    band's upper end."""
     real = analysis.ppt_separable
 
     def faulty(rho):
         sep, w = real(rho)
         alpha2 = (36.0 * rho.mat[..., 0, 0].real - 1.0) / 24.0  # local pair: (24 a^2 + 1)/36
-        return sep ^ ((LOCAL_ONSET <= alpha2) & (alpha2 < LOCAL_ONSET + 1e-5)), w
+        band = (LOCAL_ONSET <= alpha2) & (alpha2 < LOCAL_ONSET + 1e-5)
+        return sep ^ band, np.where(band, -w, w)
 
     monkeypatch.setattr(analysis, "ppt_separable", faulty)
+
+
+def _local_register_coefficient_long(monkeypatch, eps=1e-4):
+    """Qubit-by-qubit register cloner with the |00> -> |000000> coefficient
+    of its isometry scaled by 1 + eps, which moves both local boundaries by
+    0.0625 eps against a tolerance of 1e-6: at eps = 1e-4 the onset and end
+    rows fail, and at 1e-5 they pass.  The density row catches it from
+    1e-9 on.  The module global is patched, so the cached isometry stays as
+    it is."""
+    real = cloners._local_register_isometry
+
+    def faulty():
+        iso = real().copy()
+        iso[0, 0] *= 1.0 + eps
+        return iso
+
+    monkeypatch.setattr(cloners, "_local_register_isometry", faulty)
 
 
 def _register_corner_off(monkeypatch):
@@ -217,6 +238,7 @@ FAULTS = [
     (_uqcm_image_of_one_tilted, 12, ("Bures spread, 1->2 cloner",)),
     (_ppt_flipped_above_local_onset, 10, ("local inseparability onset (alpha^2)",)),
     (_register_corner_off, 10, ("local pair density vs closed form (max dev)",)),
+    (_local_register_coefficient_long, 10, LOCAL_BOUNDARY_ROWS),
     (_marginal_transposed, 5, tuple(f"max idle-qubit deviation, n={n}" for n in range(1, 6))),
     (_gm_image_of_one_long, 4, tuple(f"scaling factor, n={n}" for n in range(1, 7))),
     (_mdim_c_long, 9, ("m=2 joint state equals 1->2 cloner joint",)),
@@ -259,3 +281,11 @@ def test_pure_fidelity_fault_passes_a_decade_below(monkeypatch):
     at: one decade lower, criterion 9 passes."""
     _pure_fidelity_high(monkeypatch, eps=1e-10)
     assert _run(9).passed
+
+
+def test_local_register_coefficient_fault_passes_a_decade_below(monkeypatch):
+    """The threshold of ``_local_register_coefficient_long`` is the decade it
+    is planted at: one decade lower, both local boundary rows pass."""
+    _local_register_coefficient_long(monkeypatch, eps=1e-5)
+    rows = {r.label: r for r in _run(10).rows}
+    assert all(rows[label].ok for label in LOCAL_BOUNDARY_ROWS)
