@@ -12,7 +12,6 @@ package's basis order (first qubit most significant).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -143,12 +142,8 @@ def mean_fidelity(
     kept: calling again with the same grid hands the callback the same
     blocks, whose kets are already computed.
     """
-    try:
-        n_cos, n_phi = operator.index(n_cos), operator.index(n_phi)
-    except TypeError:
-        raise ValueError(f"quadrature grid sizes must be integers, got {n_cos!r} x {n_phi!r}") from None
-    if n_cos < 16 or n_phi < 16:
-        raise ValueError("quadrature grid must be at least 16 x 16")
+    n_cos = _size(n_cos, "quadrature grid sizes must be integers >= 16", 16)
+    n_phi = _size(n_phi, "quadrature grid sizes must be integers >= 16", 16)
     _, weights = _legendre_rule(n_cos)
     blocks = _kept_grid(n_cos, n_phi) if n_cos * n_phi <= _KEPT_GRID else _grid_blocks(n_cos, n_phi)
     row_sums = np.concatenate(
@@ -301,9 +296,6 @@ class SeparabilityInterval:
 
     lower: float
     upper: float
-
-    def __contains__(self, alpha2: float) -> bool:
-        return self.lower < alpha2 < self.upper
 
 
 def inseparability_boundary(method: str, resolution: float = 1e-8) -> SeparabilityInterval:

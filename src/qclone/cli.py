@@ -35,7 +35,7 @@ from .cloners import REGISTER_CLONERS, mdim_coefficients, register_clone
 from .linalg import _BATCH_AMPS
 from .network import build_copy_stage, build_prep_circuit_1, circuit_to_text
 from .report import report_gm, report_mdim, report_register, report_uqcm
-from .states import BlochQubit, haar_random_ket, random_bloch
+from .states import BlochQubit, MAX_CLONE_COUNT, haar_random_ket, random_bloch
 
 #: the CloneReport method that prints each --format choice, by name: it is
 #: looked up on each report, so a wrapper set on the class (perfbench's
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     kinds = p_clone.add_subparsers(dest="kind", required=True)
     kinds.add_parser("uqcm", parents=[qubit], help="1 -> 2 qubit cloner")
     p_gm = kinds.add_parser("gm", parents=[qubit], help="1 -> N+1 qubit cloner")
-    p_gm.add_argument("param", metavar="N", type=int, help="clone count N, 1..8")
+    p_gm.add_argument("param", metavar="N", type=int, help=f"clone count N, 1..{MAX_CLONE_COUNT}")
     p_mdim = kinds.add_parser("mdim", parents=[report], help="1 -> 2 cloner in M dimensions")
     p_mdim.add_argument("param", metavar="M", type=int, help="dimension M, 2..64")
     p_mdim.add_argument("--seed", type=int, default=0, help="draw the input state from this seed (default 0)")
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     circuits = p_dump.add_subparsers(dest="which", required=True)
     circuits.add_parser("prep1", parents=[output], help="two-qubit preparation circuit")
     p = circuits.add_parser("copy", parents=[output], help="copy stage of the 1 -> N+1 network")
-    p.add_argument("--n", type=int, choices=range(1, 9), default=1, metavar="{1..8}",
+    p.add_argument("--n", type=int, choices=range(1, MAX_CLONE_COUNT + 1), default=1, metavar=f"{{1..{MAX_CLONE_COUNT}}}",
                    help="clone count for the copy stage")
 
     # each leaf runs its command and reports usage errors with its own usage line

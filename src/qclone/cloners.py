@@ -22,7 +22,9 @@ from .linalg import (
     _trusted,
     reduced_density,
 )
-from .states import BlochQubit, _symmetric_amps, bloch_ket, register_ket
+from .states import BlochQubit, MAX_CLONE_COUNT, _CLONE_COUNT_RULE, _symmetric_amps, bloch_ket, register_ket
+
+_CLONE_INDEX_RULE = "clone indices must be integers below clone_count"
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,8 +40,13 @@ class CloneOutput:
     clone_count: int
 
     def __post_init__(self):
-        if not 1 <= self.clone_count < len(self.joint.layout):
-            raise ValueError("clone_count must leave at least one clone and one copier subsystem")
+        count = _size(
+            self.clone_count,
+            "clone_count must be an integer leaving at least one clone and one copier subsystem",
+            1,
+            len(self.joint.layout) - 1,
+        )
+        object.__setattr__(self, "clone_count", count)
 
     @property
     def copier_dims(self) -> tuple[int, ...]:
@@ -48,15 +55,12 @@ class CloneOutput:
 
     def clone_marginal(self, i: int) -> DensityOperator:
         """Reduced state of clone ``i``."""
-        if not 0 <= i < self.clone_count:
-            raise ValueError(f"clone index {i} out of range")
-        return reduced_density(self.joint, [i])
+        return reduced_density(self.joint, [_size(i, _CLONE_INDEX_RULE, 0, self.clone_count - 1)])
 
     def pair_marginal(self, i: int, j: int) -> DensityOperator:
-        """Joint reduced state of clones ``i`` and ``j``."""
-        if i == j or not (0 <= i < self.clone_count and 0 <= j < self.clone_count):
-            raise ValueError(f"bad clone pair ({i}, {j})")
-        return reduced_density(self.joint, [i, j])
+        """Joint reduced state of clones ``i`` and ``j`` (``i != j``)."""
+        last = self.clone_count - 1
+        return reduced_density(self.joint, [_size(i, _CLONE_INDEX_RULE, 0, last), _size(j, _CLONE_INDEX_RULE, 0, last)])
 
     def copier_marginal(self) -> DensityOperator:
         """Reduced state of the whole copying machine."""
@@ -123,8 +127,7 @@ def gisin_massar_map(q: BlochQubit, n: int) -> CloneOutput:
     """Optimal symmetric 1-to-(n+1) cloner, Gisin-Massar form, on wires
     (a_0..a_n, b_1..b_n): n+1 clones followed by the n-qubit copier.  A
     batched ``q`` gives the batch of joint outputs."""
-    if not 1 <= n <= 8:
-        raise ValueError(f"clone count is limited to 1 <= n <= 8, got {n}")
+    n = _size(n, _CLONE_COUNT_RULE, 1, MAX_CLONE_COUNT)
     joint = _trusted(StateVector, layout=_gm_layout(n), amps=bloch_ket(q).amps @ _gm_columns(n))
     return CloneOutput(joint=joint, clone_count=n + 1)
 

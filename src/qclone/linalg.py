@@ -83,14 +83,16 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _size(value, rule: str, least: int, most: float = math.inf) -> int:
     """``value`` as an int in [least, most], or ValueError("<rule>, got
-    <value>").  As in ``SubsystemLayout``, operator.index takes Python and
-    numpy integers and rejects a float or a string instead of truncating it."""
+    <value!r>").  The one check of every size, count, wire and subsystem
+    index in the package: operator.index takes Python and numpy integers and
+    rejects a float or a string instead of truncating it.  ``rule`` is a
+    constant string, so the success path builds no message."""
     try:
         size = operator.index(value)
     except TypeError:
         size = None
     if size is None or not least <= size <= most:
-        raise ValueError(f"{rule}, got {value}")
+        raise ValueError(f"{rule}, got {value!r}")
     return size
 
 
@@ -101,16 +103,9 @@ class SubsystemLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            # operator.index takes Python and numpy integers and rejects
-            # a float or a string instead of truncating it
-            dims = tuple(map(operator.index, self.dims))
-        except TypeError:
-            raise ValueError(f"subsystem dimensions must be integers, got {self.dims!r}") from None
+        dims = tuple([_size(d, "subsystem dimensions must be integers >= 1", 1) for d in self.dims])
         if len(dims) == 0:
             raise ValueError("layout needs at least one subsystem")
-        if any(d < 1 for d in dims):
-            raise ValueError(f"subsystem dimensions must be >= 1, got {dims}")
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -225,14 +220,17 @@ def outer(psi: StateVector) -> DensityOperator:
     return _trusted(DensityOperator, layout=psi.layout, mat=psi.amps[..., :, None] * psi.amps[..., None, :].conj())
 
 
-def _check_subsystems(layout: SubsystemLayout, subs: Sequence[int], what: str) -> None:
+_SUBSYSTEM_RULE = "subsystem indices must be integers within the layout"
+
+
+def _check_subsystems(layout: SubsystemLayout, subs: Iterable[int], what: str) -> list[int]:
+    """``subs`` as a list of distinct int subsystem indices of ``layout``."""
+    subs = [_size(i, _SUBSYSTEM_RULE, 0, len(layout) - 1) for i in subs]
     if len(subs) == 0:
         raise ValueError(f"{what}: need at least one subsystem")
     if len(set(subs)) != len(subs):
         raise ValueError(f"{what}: duplicate subsystem indices in {subs}")
-    for i in subs:
-        if not 0 <= i < len(layout):
-            raise ValueError(f"{what}: subsystem {i} out of range for layout {layout.dims}")
+    return subs
 
 
 def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
@@ -242,8 +240,7 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     they are listed in.  A batch of operators gives the batch of their
     marginals.
     """
-    keep_sorted = sorted(keep)
-    _check_subsystems(rho.layout, keep_sorted, "partial_trace")
+    keep_sorted = sorted(_check_subsystems(rho.layout, keep, "partial_trace"))
     dims = rho.layout.dims
     k = len(dims)
     lead = rho.mat.shape[:-2]
@@ -266,8 +263,7 @@ def reduced_density(psi: StateVector, keep: Sequence[int]) -> DensityOperator:
     A batch of states gives the batch of their marginals, each bit for bit
     the marginal of its state alone.
     """
-    keep = list(keep)
-    _check_subsystems(psi.layout, keep, "reduced_density")
+    keep = _check_subsystems(psi.layout, keep, "reduced_density")
     dims = psi.layout.dims
     lead = psi.amps.shape[:-1]  # () for one state, (K,) for a batch
     batch = math.prod(lead)
@@ -303,7 +299,7 @@ def partial_transpose(rho: DensityOperator, sub: int) -> HermitianMatrix:
     """Transpose one subsystem only; an involution that preserves the trace
     but not positivity.  A batch of operators gives the batch of their
     partial transposes."""
-    _check_subsystems(rho.layout, [sub], "partial_transpose")
+    sub = _size(sub, _SUBSYSTEM_RULE, 0, len(rho.layout) - 1)
     dims = rho.layout.dims
     lead = rho.mat.shape[:-2]
     t = rho.mat.reshape(lead + dims + dims)

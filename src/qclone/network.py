@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import StateVector, _trusted, tensor
-from .states import BlochQubit, bloch_ket, prep_state
+from .linalg import StateVector, _size, _trusted, tensor
+from .states import BlochQubit, MAX_CLONE_COUNT, _CLONE_COUNT_RULE, bloch_ket, prep_state
 
 ROTATION = "rotation"
 CNOT = "cnot"
@@ -45,13 +45,15 @@ class GateOp:
     def __post_init__(self):
         if self.kind not in (ROTATION, CNOT):
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind == ROTATION and (len(self.wires) != 1 or self.theta is None or not math.isfinite(self.theta)):
+        wires = tuple([_size(w, "wires must be integers >= 0", 0) for w in self.wires])
+        if self.kind == ROTATION and (len(wires) != 1 or self.theta is None or not math.isfinite(self.theta)):
             raise ValueError(f"rotation takes one wire and a finite angle, got {self.theta!r}")
         if self.kind == CNOT:
-            if len(self.wires) != 2 or self.theta is not None:
+            if len(wires) != 2 or self.theta is not None:
                 raise ValueError("cnot takes exactly (control, target) and no angle")
-            if self.wires[0] == self.wires[1]:
+            if wires[0] == wires[1]:
                 raise ValueError("cnot control and target must differ")
+        object.__setattr__(self, "wires", wires)
 
 
 def rotation(wire: int, theta: float) -> GateOp:
@@ -70,13 +72,11 @@ class Circuit:
     ops: tuple[GateOp, ...]
 
     def __post_init__(self):
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
+        width = _size(self.width, "width must be an integer >= 1", 1)
+        object.__setattr__(self, "width", width)
         object.__setattr__(self, "ops", tuple(self.ops))
-        for op in self.ops:
-            for w in op.wires:
-                if not 0 <= w < self.width:
-                    raise ValueError(f"wire {w} out of range for width {self.width}")
+        # every GateOp holds int wires >= 0: the highest must lie below the width
+        _size(max((w for op in self.ops for w in op.wires), default=0), "wires must lie below the circuit width", 0, width - 1)
 
 
 # Wires and angles are checked once, by GateOp and Circuit, and the layout
@@ -141,8 +141,7 @@ def build_copy_stage(n: int) -> Circuit:
     then every a_i drives a_0, then every b_i drives a_0 (ascending wire
     order inside each cascade).
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _size(n, "need an integer n >= 1", 1)
     a = list(range(1, n + 1))
     b = list(range(n + 1, 2 * n + 1))
     ops = [cnot(0, w) for w in a + b] + [cnot(w, 0) for w in a + b]
@@ -154,8 +153,7 @@ def clone_via_network(q: BlochQubit, n: int) -> StateVector:
     state and run the copy stage.  Wires come out as (a_0..a_n, b_1..b_n)
     with the clones on the a wires.  A batched ``q`` runs the whole batch
     through the circuit at once."""
-    if not 1 <= n <= 8:
-        raise ValueError(f"clone count is limited to 1 <= n <= 8, got {n}")
+    n = _size(n, _CLONE_COUNT_RULE, 1, MAX_CLONE_COUNT)
     return run_circuit(build_copy_stage(n), tensor(bloch_ket(q), prep_state(n)))
 
 

@@ -8,7 +8,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import StateVector, SubsystemLayout, _freeze, _inner, _trusted
+from .linalg import StateVector, SubsystemLayout, _freeze, _inner, _size, _trusted
+
+#: Largest n of the 1 -> n+1 qubit cloners, read by both routes and the CLI:
+#: n + 1 clones and an n-qubit copier hold 2**(2n + 1) amplitudes.
+MAX_CLONE_COUNT = 8
+_CLONE_COUNT_RULE = f"clone count must be an integer 1 <= n <= {MAX_CLONE_COUNT}"
 
 
 @dataclass(frozen=True)
@@ -101,10 +106,8 @@ def _symmetric_amps(n: int, k: int) -> np.ndarray:
 def symmetric_basis_ket(n: int, k: int) -> StateVector:
     """Symmetric (Dicke) state |n;k> of n qubits with k excitations: all
     weight-k basis states, equal positive amplitudes."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    n = _size(n, "need an integer n >= 1", 1)
+    k = _size(k, "need an integer 0 <= k <= n", 0, n)
     return _trusted(StateVector, layout=SubsystemLayout((2,) * n), amps=_symmetric_amps(n, k))
 
 
@@ -119,8 +122,7 @@ def prep_state(n: int) -> StateVector:
     (the k = 0 term has no f part).  For n = 1 this is exactly the state the
     two-qubit preparation circuit produces from |00>.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _size(n, "need an integer n >= 1", 1)
     amps = np.zeros(4**n, dtype=np.complex128)
     for k in range(n + 1):
         e_k = math.sqrt(2.0 / (n + 2)) * math.comb(n, k) / math.comb(n + 1, k)
@@ -137,11 +139,9 @@ def haar_random_ket(dim: int, seed, count: int | None = None) -> StateVector:
     vector.  ``seed`` is an int (deterministic) or a Generator (streamed).
     With ``count``, the (count, dim) batch that ``count`` streamed calls
     draw, each row equal to the ket its call returns."""
-    if dim < 2:
-        raise ValueError(f"need dim >= 2, got {dim}")
-    if count is not None and count < 1:
-        raise ValueError("a batch needs at least one state")
-    g = np.random.default_rng(seed).standard_normal((1 if count is None else count, 2, dim))
+    dim = _size(dim, "need an integer dim >= 2", 2)
+    k = 1 if count is None else _size(count, "a batch needs at least one state: count must be an integer >= 1", 1)
+    g = np.random.default_rng(seed).standard_normal((k, 2, dim))
     z = g[:, 0] + 1j * g[:, 1]  # per ket: dim real parts, then dim imaginary parts
     # the sum np.linalg.norm takes for one vector, so no row depends on the batch
     norm = np.sqrt(_inner(z.real, z.real) + _inner(z.imag, z.imag))
@@ -153,7 +153,8 @@ def random_bloch(seed, count: int | None = None) -> BlochQubit:
     """Haar-random qubit as polar angles: cos(theta) uniform on [-1, 1],
     phi uniform on [0, 2*pi).  With ``count``, the batch of the ``count``
     qubits that as many streamed calls draw."""
-    draws = np.random.default_rng(seed).uniform([-1.0, 0.0], [1.0, 2.0 * math.pi], size=(1 if count is None else count, 2))
+    k = 1 if count is None else _size(count, "a batch needs at least one qubit: count must be an integer >= 1", 1)
+    draws = np.random.default_rng(seed).uniform([-1.0, 0.0], [1.0, 2.0 * math.pi], size=(k, 2))
     # math.acos per entry: np.arccos can differ from it in the last bit
     theta = [math.acos(c) for c in draws[:, 0].tolist()]
     # guard the half-open interval

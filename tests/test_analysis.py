@@ -23,6 +23,7 @@ from qclone.analysis import (
     scaling_factor_formula,
 )
 from qclone.cloners import (
+    CloneOutput,
     gisin_massar_map,
     local_register_clone,
     mdim_clone,
@@ -38,11 +39,13 @@ from qclone.linalg import (
     bures_distance,
     hermitian_eigenvalues,
     outer,
+    partial_trace,
     partial_transpose,
     reduced_density,
     von_neumann_entropy,
 )
-from qclone.states import BlochQubit, bloch_ket, haar_random_ket, random_bloch
+from qclone.network import Circuit, build_copy_stage, clone_via_network, cnot, rotation
+from qclone.states import BlochQubit, bloch_ket, haar_random_ket, prep_state, random_bloch, symmetric_basis_ket
 
 # Values frozen from the closed forms, never recomputed by the assertions
 # they feed: scaling and fidelity of the single-copy machine, the copier
@@ -110,13 +113,59 @@ def test_formula_values():
     assert scaling_factor_formula(100) < 0.34
 
 
+_Q = BlochQubit(1.0, 2.0)
+_OUT = uqcm_map(_Q)  # clones on subsystems 0 and 1, the copier on 2
+_PAIR = _OUT.pair_marginal(0, 1)
+
+#: Every entry point that takes a size, count, wire or subsystem index, as a
+#: call of that one argument returning something ``assert_equal`` compares.
+#: Sizes start at 1 (2 for dimensions) and refuse 0; a count's default None
+#: means no batch, and an index's first value is 0, so neither is probed.
+SIZES = {
+    "scaling_factor_formula": scaling_factor_formula,
+    "fidelity_formula": fidelity_formula,
+    "purity_xi": purity_xi,
+    "pt_spectrum_formula": pt_spectrum_formula,
+    "mdim_formulas": mdim_formulas,
+    "gisin_massar_map": lambda n: gisin_massar_map(_Q, n).joint.amps,
+    "clone_via_network": lambda n: clone_via_network(_Q, n).amps,
+    "build_copy_stage": build_copy_stage,
+    "prep_state": lambda n: prep_state(n).amps,
+    "symmetric_basis_ket": lambda n: symmetric_basis_ket(n, 0).amps,
+    "haar_random_ket": lambda dim: haar_random_ket(dim, 0).amps,
+    "Circuit": lambda width: Circuit(width, ()),
+    "CloneOutput": lambda count: CloneOutput(_OUT.joint, count).clone_count,
+    "SubsystemLayout": lambda d: SubsystemLayout((2, d)),
+}
+COUNTS = {
+    "haar_random_ket_count": lambda count: haar_random_ket(3, 0, count=count).amps,
+    "random_bloch_count": lambda count: np.array([random_bloch(0, count=count).theta]),
+}
+INDICES = {
+    "symmetric_basis_ket_k": lambda k: symmetric_basis_ket(2, k).amps,
+    "rotation": lambda wire: rotation(wire, 0.3),
+    "cnot": lambda control: cnot(control, 0),
+    "clone_marginal": lambda i: _OUT.clone_marginal(i).mat,
+    "pair_marginal": lambda j: _OUT.pair_marginal(0, j).mat,
+    "reduced_density": lambda i: reduced_density(_OUT.joint, [i]).mat,
+    "partial_trace": lambda i: partial_trace(outer(_OUT.joint), [i]).mat,
+    "partial_transpose": lambda i: partial_transpose(_PAIR, i).mat,
+}
+_PROBES = [
+    (SIZES, [0, -1, 1.0, 3.5, "3", None, 2.0, 2.5, "2"]),
+    (COUNTS, [0, -1, 2.0, 2.5, "2"]),
+    (INDICES, [-1, 2.0, 2.5, "2", None]),
+]
+
+
 @pytest.mark.parametrize(
-    "formula", [scaling_factor_formula, fidelity_formula, purity_xi, pt_spectrum_formula, mdim_formulas]
+    "formula, size",
+    [pytest.param(fn, size, id=f"{size}-{name}") for entries, probes in _PROBES for name, fn in entries.items() for size in probes],
 )
-@pytest.mark.parametrize("size", [0, -1, 1.0, 3.5, "3", None])
 def test_closed_forms_reject_sizes_without_a_value(formula, size):
-    """Copy counts start at 1 and dimensions at 2; a float, even a whole
-    one, or a string is refused rather than truncated."""
+    """Copy counts start at 1 and dimensions at 2, and every size, count,
+    wire and subsystem index is checked by the one rule: a float, even a
+    whole one, a string or None is refused rather than truncated."""
     with pytest.raises(ValueError, match="integer"):
         formula(size)
 
@@ -124,6 +173,12 @@ def test_closed_forms_reject_sizes_without_a_value(formula, size):
 def test_closed_forms_take_numpy_integers():
     assert scaling_factor_formula(np.int64(3)) == scaling_factor_formula(3) == 0.5
     assert mdim_formulas(np.int32(2)) == mdim_formulas(2)
+    for entries, value in ((SIZES, 2), (COUNTS, 2), (INDICES, 1)):
+        for fn in entries.values():
+            np.testing.assert_equal(fn(np.int64(value)), fn(value))
+    # and they are kept as Python ints
+    assert type(Circuit(np.int64(2), (cnot(np.int64(1), 0),)).ops[0].wires[0]) is int
+    assert type(CloneOutput(_OUT.joint, np.int64(2)).clone_count) is int
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -368,12 +423,6 @@ class TestRegisterAnalysis:
         nonlocal_ = inseparability_boundary("nonlocal")
         assert nonlocal_.lower < local.lower
         assert nonlocal_.upper > local.upper
-
-    def test_interval_membership(self):
-        iv = inseparability_boundary("nonlocal")
-        assert 0.5 in iv
-        assert 0.01 not in iv
-        assert 0.999 not in iv
 
     def test_method_validation(self):
         with pytest.raises(ValueError):

@@ -149,6 +149,19 @@ def test_circuit_text_round_trip():
     assert circuit_from_text(circuit_to_text(circ)) == circ
 
 
+def test_float_width_or_wire_is_rejected_at_construction():
+    """The text format writes width and wires as integers, so a circuit
+    that exists always round-trips: a float is refused when it is built,
+    and a numpy integer is kept as a Python int."""
+    for build in (lambda: Circuit(2.0, ()), lambda: rotation(0.0, 0.3), lambda: cnot(0, 1.0)):
+        with pytest.raises(ValueError, match="integer"):
+            build()
+    circ = Circuit(np.int64(2), (rotation(np.int64(1), 0.3), cnot(np.int64(1), 0)))
+    text = circuit_to_text(circ)
+    assert text.splitlines()[:2] == ["WIDTH 2", "R 1 0.3"]
+    assert circuit_from_text(text) == circ
+
+
 def test_circuit_text_rejects_garbage():
     with pytest.raises(ValueError):
         circuit_from_text("WIDTH 2\nH 0\n")

@@ -2,7 +2,8 @@
 isometries never import each other or ``analysis``, and the closed forms in
 ``analysis`` use no name from either simulation route, directly or through
 another function of the module.  Only the modules that build states and
-operators skip their validation."""
+operators skip their validation, and only ``linalg._size`` decides whether
+an integer argument is valid."""
 import ast
 from pathlib import Path
 
@@ -70,3 +71,21 @@ def test_only_building_modules_skip_validation():
             if name == "_trusted":
                 users.add(path.stem)
     assert users == {"linalg", "states", "network", "cloners"}
+
+
+def operator_index_uses(root: ast.AST) -> int:
+    """References to ``operator.index`` under ``root``, and imports of it."""
+    return sum(
+        isinstance(n, ast.Attribute) and n.attr == "index" and getattr(n.value, "id", None) == "operator"
+        or isinstance(n, ast.ImportFrom) and n.module == "operator" and any(a.name == "index" for a in n.names)
+        for n in ast.walk(root)
+    )
+
+
+def test_only_size_check_calls_operator_index():
+    """Every size, count, wire and subsystem index goes through
+    ``linalg._size``, the one place that calls ``operator.index``."""
+    uses = {path.stem: operator_index_uses(parse(path.stem)) for path in PACKAGE.glob("*.py")}
+    size = next(f for f in parse("linalg").body if isinstance(f, ast.FunctionDef) and f.name == "_size")
+    assert operator_index_uses(size) == 1
+    assert {m: n for m, n in uses.items() if n} == {"linalg": 1}
