@@ -6,24 +6,28 @@ tolerance).  The CLI ``reproduce`` command renders these as a table and the
 acceptance test suite asserts them one by one; both go through this module
 so there is exactly one implementation of each check.
 
+A row is handed its whole batch, one entry per input (or per input and
+matrix entry), and judges its worst input: the entry farthest from the
+reference for mode ``abs``, the smallest for ``ge`` and the largest for
+``le``.  ``CheckRow`` makes that reduction, so no criterion reduces by hand.
+
 Seeds are fixed so every run works on the same inputs.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from . import analysis
+from . import analysis, linalg
 from .cloners import gisin_massar_map, mdim_clone, register_clone, uqcm_map
 from .linalg import (
     StateVector,
     SubsystemLayout,
     _BATCH_AMPS,
     _inner,
-    _worst,
     bures_distance,
     hermitian_eigenvalues,
     outer,
@@ -36,13 +40,27 @@ from .network import build_prep_circuit_1, clone_via_network, run_circuit
 from .states import BlochQubit, bloch_ket, haar_random_ket, random_bloch, register_ket
 
 
+#: The worst entry of a batch under each row mode: the entry farthest from
+#: the reference on either side, the smallest, the largest.
+_WORST = {
+    "abs": linalg._worst,
+    "ge": lambda values, reference: np.min(values),
+    "le": lambda values, reference: np.max(values),
+}
+
+
 @dataclass(frozen=True)
 class CheckRow:
     """One line of the verification table.
 
-    mode ``abs``: pass iff |computed - reference| <= tol;
-    mode ``ge``:  pass iff computed >= reference - tol;
-    mode ``le``:  pass iff computed <= reference + tol.
+    ``computed`` is given as a scalar or as a whole batch of any shape, and
+    the row keeps one float: the batch's worst entry under the mode.
+
+    mode ``abs``: the entry farthest from reference; pass iff
+    |computed - reference| <= tol;
+    mode ``ge``:  the smallest entry; pass iff computed >= reference - tol;
+    mode ``le``:  the largest entry; pass iff computed <= reference + tol.
+    Any other mode raises ValueError when the row is built.
     """
 
     label: str
@@ -50,6 +68,11 @@ class CheckRow:
     computed: float
     tol: float
     mode: str = "abs"
+
+    def __post_init__(self):
+        if self.mode not in _WORST:
+            raise ValueError(f"unknown row mode {self.mode!r}")
+        object.__setattr__(self, "computed", float(_WORST[self.mode](self.computed, self.reference)))
 
     @property
     def delta(self) -> float:
@@ -61,9 +84,7 @@ class CheckRow:
             return self.delta <= self.tol
         if self.mode == "ge":
             return self.computed >= self.reference - self.tol
-        if self.mode == "le":
-            return self.computed <= self.reference + self.tol
-        raise ValueError(f"unknown row mode {self.mode!r}")
+        return self.computed <= self.reference + self.tol
 
 
 @dataclass(frozen=True)
@@ -99,9 +120,9 @@ def criterion_network_uqcm() -> CriterionResult:
     residuals = np.stack([fit.residual for fit in fits], axis=1)
     fids = np.stack([pure_fidelity(ket, marg) for marg in margs], axis=1)
     rows = (
-        CheckRow("scaling factor s, both clones, 100 Haar inputs", 2.0 / 3.0, _worst(s_vals, 2 / 3), 1e-10),
-        CheckRow("scaled-form residual (max norm)", 0.0, float(residuals.max()), 1e-10),
-        CheckRow("per-input clone fidelity", 5.0 / 6.0, _worst(fids, 5 / 6), 1e-10),
+        CheckRow("scaling factor s, both clones, 100 Haar inputs", 2.0 / 3.0, s_vals, 1e-10),
+        CheckRow("scaled-form residual (max norm)", 0.0, residuals, 1e-10),
+        CheckRow("per-input clone fidelity", 5.0 / 6.0, fids, 1e-10),
     )
     return CriterionResult(1, "1->2 network: scaling 2/3, fidelity 5/6", rows)
 
@@ -115,9 +136,9 @@ def criterion_prep_circuit() -> CriterionResult:
     targets = (2 * r6, r6, 0.0, r6)
     labels = ("|00>", "|01>", "|10>", "|11>")
     rows = tuple(
-        CheckRow(f"amplitude on {lbl}", t, float(amps[i].real), 1e-12)
+        CheckRow(f"amplitude on {lbl}", t, amps[i].real, 1e-12)
         for i, (lbl, t) in enumerate(zip(labels, targets))
-    ) + (CheckRow("largest imaginary part", 0.0, float(np.abs(amps.imag).max()), 1e-12),)
+    ) + (CheckRow("largest imaginary part", 0.0, np.abs(amps.imag), 1e-12),)
     return CriterionResult(2, "preparation circuit output state", rows)
 
 
@@ -129,28 +150,25 @@ def criterion_network_equals_map() -> CriterionResult:
         q = random_bloch(100 + n, count=20)
         net = clone_via_network(q, n).amps
         direct = gisin_massar_map(q, n).joint.amps
-        overlaps = np.abs(_inner(net, direct))
-        rows.append(CheckRow(f"min overlap |<network|map>|, n={n}", 1.0, float(overlaps.min()), 1e-10))
+        rows.append(CheckRow(f"min overlap |<network|map>|, n={n}", 1.0, np.abs(_inner(net, direct)), 1e-10))
     return CriterionResult(3, "network output equals direct cloning map", tuple(rows))
 
 
 def criterion_scaling_factor() -> CriterionResult:
     """Clone marginals scale as s = 1/3 + 2/(3(n+1)) and all n+1 clones of a
     run carry identical marginals."""
-    rows = []
-    spread = 0.0
+    rows, pair_devs = [], []
     for n in range(1, 7):
         q = random_bloch(200 + n, count=5)
         out = gisin_massar_map(q, n)
         ideal = outer(bloch_ket(q))
         margs = [out.clone_marginal(i) for i in range(n + 1)]
-        s_vals = np.stack([analysis.extract_scaling_factor(m, ideal).s for m in margs], axis=1)
-        for i in range(len(margs)):
-            for j in range(i + 1, len(margs)):
-                spread = max(spread, float(np.abs(margs[i].mat - margs[j].mat).max()))
-        ref = analysis.scaling_factor_formula(n)
-        rows.append(CheckRow(f"scaling factor, n={n}", ref, _worst(s_vals, ref), 1e-10))
-    rows.append(CheckRow("max pairwise clone-marginal deviation", 0.0, spread, 1e-10))
+        s_vals = [analysis.extract_scaling_factor(m, ideal).s for m in margs]
+        rows.append(CheckRow(f"scaling factor, n={n}", analysis.scaling_factor_formula(n), s_vals, 1e-10))
+        # |m_i - m_j| for every ordered pair of clones, inputs and entries
+        mats = np.stack([m.mat for m in margs])
+        pair_devs.append(np.abs(mats[:, None] - mats[None, :]).ravel())
+    rows.append(CheckRow("max pairwise clone-marginal deviation", 0.0, np.concatenate(pair_devs), 1e-10))
     return CriterionResult(4, "multi-copy scaling law and clone symmetry", tuple(rows))
 
 
@@ -161,30 +179,23 @@ def criterion_idle_law() -> CriterionResult:
     for n in range(1, 6):
         q = random_bloch(300 + n, count=5)
         devs = analysis.idle_qubit_check(gisin_massar_map(q, n), q)
-        rows.append(CheckRow(f"max idle-qubit deviation, n={n}", 0.0, float(devs.max()), 1e-10))
+        rows.append(CheckRow(f"max idle-qubit deviation, n={n}", 0.0, devs, 1e-10))
     return CriterionResult(5, "idle-qubit marginal law", tuple(rows))
 
 
 def criterion_pt_spectra() -> CriterionResult:
     """Two-clone partial-transpose spectra match the closed form, do not
     depend on the input, and signal entanglement only for n = 1."""
-    rows = []
-    min_eig_n1 = 0.0
-    min_eig_rest = np.inf
+    rows, min_eigs = [], []
     for n in range(1, 7):
         formula = analysis.pt_spectrum_formula(n)
         out = gisin_massar_map(random_bloch(400 + n, count=20), n)
         spectra = hermitian_eigenvalues(partial_transpose(out.pair_marginal(0, 1), 1))
-        dev = float(np.abs(spectra - formula).max())
-        input_spread = float(spectra.std(axis=0).max())
-        rows.append(CheckRow(f"PT spectrum vs formula, n={n}", 0.0, dev, 1e-9))
-        rows.append(CheckRow(f"PT spectrum input dependence (std), n={n}", 0.0, input_spread, 1e-10))
-        if n == 1:
-            min_eig_n1 = float(spectra[:, 0].max())
-        else:
-            min_eig_rest = min(min_eig_rest, float(spectra[:, 0].min()))
-    rows.append(CheckRow("clone pair entangled at n=1 (min PT eig < 0)", 0.0, min_eig_n1, 0.0, mode="le"))
-    rows.append(CheckRow("clone pairs separable for n>=2 (min PT eig >= 0)", 0.0, min_eig_rest, 1e-10, mode="ge"))
+        rows.append(CheckRow(f"PT spectrum vs formula, n={n}", 0.0, np.abs(spectra - formula), 1e-9))
+        rows.append(CheckRow(f"PT spectrum input dependence (std), n={n}", 0.0, spectra.std(axis=0), 1e-10))
+        min_eigs.append(spectra[:, 0])
+    rows.append(CheckRow("clone pair entangled at n=1 (min PT eig < 0)", 0.0, min_eigs[0], 0.0, mode="le"))
+    rows.append(CheckRow("clone pairs separable for n>=2 (min PT eig >= 0)", 0.0, min_eigs[1:], 1e-10, mode="ge"))
     return CriterionResult(6, "two-clone partial-transpose spectra", tuple(rows))
 
 
@@ -194,16 +205,14 @@ def criterion_a1b1_spectrum() -> CriterionResult:
     and its smallest PT eigenvalue is negative for every input."""
     frozen = np.sort([(1 - math.sqrt(17)) / 12, 1 / 6, (1 + math.sqrt(17)) / 12, 2 / 3])
     real = np.linspace(0.05, math.pi - 0.05, 7)
-    w = analysis.rho_a1b1_pt_spectrum(BlochQubit(real, np.zeros_like(real)))
-    dev = float(np.abs(w - frozen).max())
+    dev = np.abs(analysis.rho_a1b1_pt_spectrum(BlochQubit(real, np.zeros_like(real))) - frozen)
     # the 20 x 20 grid, theta-major
     thetas = np.linspace(math.pi / 40, math.pi * 39 / 40, 20)
     phis = np.linspace(0.0, 2 * math.pi, 20, endpoint=False)
-    w = analysis.rho_a1b1_pt_spectrum(BlochQubit(np.repeat(thetas, 20), np.tile(phis, 20)))
-    worst_min = float(w[:, 0].max())
+    min_eigs = analysis.rho_a1b1_pt_spectrum(BlochQubit(np.repeat(thetas, 20), np.tile(phis, 20)))[:, 0]
     rows = (
         CheckRow("PT spectrum vs frozen values (real inputs)", 0.0, dev, 1e-9),
-        CheckRow("largest min-PT-eigenvalue over 20x20 grid", 0.0, worst_min, 0.0, mode="le"),
+        CheckRow("largest min-PT-eigenvalue over 20x20 grid", 0.0, min_eigs, 0.0, mode="le"),
     )
     return CriterionResult(7, "clone/copier pair stays entangled", rows)
 
@@ -211,14 +220,10 @@ def criterion_a1b1_spectrum() -> CriterionResult:
 def criterion_copier_purity() -> CriterionResult:
     """Copier purity matches 2(2n^2+7n+6)/(3(n+1)(n+2)^2) and sits above the
     1/(n+1) floor."""
-    rows = []
-    min_margin = np.inf
-    for n in range(1, 7):
-        ref = analysis.purity_xi(n)
-        vals = analysis.purity_xi_simulated(gisin_massar_map(random_bloch(500 + n, count=3), n))
-        rows.append(CheckRow(f"copier purity, n={n}", ref, _worst(vals, ref), 1e-10))
-        min_margin = min(min_margin, float(vals.min()) - 1.0 / (n + 1))
-    rows.append(CheckRow("purity above 1/(n+1) floor", 0.0, float(min_margin), 0.0, mode="ge"))
+    vals = {n: analysis.purity_xi_simulated(gisin_massar_map(random_bloch(500 + n, count=3), n)) for n in range(1, 7)}
+    rows = [CheckRow(f"copier purity, n={n}", analysis.purity_xi(n), v, 1e-10) for n, v in vals.items()]
+    margins = [v - 1.0 / (n + 1) for n, v in vals.items()]
+    rows.append(CheckRow("purity above 1/(n+1) floor", 0.0, margins, 0.0, mode="ge"))
     return CriterionResult(8, "copier purity law", tuple(rows))
 
 
@@ -226,9 +231,7 @@ def criterion_mdim() -> CriterionResult:
     """M-dimensional cloner: scaling, Bures distance, entropies and the
     copier marginal all match their closed forms; M = 2 reduces to the
     qubit cloner exactly."""
-    rows = []
-    ent_dev = 0.0
-    copier_dev = 0.0
+    rows, ent_devs, copier_devs = [], [], []
     for m in (2, 3, 4, 8, 16, 32, 64):
         scaling, bures, entropy_clone, entropy_copier = analysis.mdim_formulas(m)
         s_vals, b_vals = [], []
@@ -239,22 +242,16 @@ def criterion_mdim() -> CriterionResult:
             marg = out.clone_marginal(0)
             s_vals.append(analysis.extract_scaling_factor(marg, ideal).s)
             b_vals.append(bures_distance(marg, phi))
-            ent_dev = max(ent_dev, abs(von_neumann_entropy(marg) - entropy_clone))
             copier = out.copier_marginal()
-            ent_dev = max(ent_dev, abs(von_neumann_entropy(copier) - entropy_copier))
-            copier_dev = max(
-                copier_dev,
-                float(np.abs(copier.mat - analysis.mdim_copier_formula(phi).mat).max()),
-            )
-        rows.append(CheckRow(f"scaling factor, m={m}", scaling, _worst(s_vals, scaling), 1e-9))
-        rows.append(CheckRow(f"Bures distance to ideal, m={m}", bures, _worst(b_vals, bures), 1e-9))
-    rows.append(CheckRow("clone/copier entropies vs formulas (max dev)", 0.0, ent_dev, 1e-9))
-    rows.append(CheckRow("copier marginal vs closed form (max dev)", 0.0, copier_dev, 1e-9))
+            ent_devs += [von_neumann_entropy(marg) - entropy_clone, von_neumann_entropy(copier) - entropy_copier]
+            copier_devs.append(np.abs(copier.mat - analysis.mdim_copier_formula(phi).mat).ravel())
+        rows.append(CheckRow(f"scaling factor, m={m}", scaling, s_vals, 1e-9))
+        rows.append(CheckRow(f"Bures distance to ideal, m={m}", bures, b_vals, 1e-9))
+    rows.append(CheckRow("clone/copier entropies vs formulas (max dev)", 0.0, np.abs(ent_devs), 1e-9))
+    rows.append(CheckRow("copier marginal vs closed form (max dev)", 0.0, np.concatenate(copier_devs), 1e-9))
     # m = 2 must be the qubit cloner itself, joint state and all
     q = random_bloch(660, count=10)
-    a = mdim_clone(bloch_ket(q)).joint.amps
-    b = uqcm_map(q).joint.amps
-    amp_dev = float(np.abs(a - b).max())
+    amp_dev = np.abs(mdim_clone(bloch_ket(q)).joint.amps - uqcm_map(q).joint.amps)
     rows.append(CheckRow("m=2 joint state equals 1->2 cloner joint", 0.0, amp_dev, 1e-12))
     return CriterionResult(9, "M-dimensional cloner closed forms", tuple(rows))
 
@@ -265,7 +262,7 @@ def criterion_register() -> CriterionResult:
     nonlocal interval strictly contains the local one."""
     alpha = np.sqrt(np.linspace(0.0, 1.0, 20))
     dev = {
-        method: float(np.abs(register_clone(method, alpha).mat - analysis.register_pair_formula(method, alpha).mat).max())
+        method: np.abs(register_clone(method, alpha).mat - analysis.register_pair_formula(method, alpha).mat)
         for method in ("local", "nonlocal")
     }
     local = analysis.inseparability_boundary("local")
@@ -305,31 +302,26 @@ def criterion_universality() -> CriterionResult:
     """Universal machines degrade every input equally: the Bures distance
     between clone and ideal has vanishing spread over Haar inputs.  The
     qubit-by-qubit register cloner fails this by a wide margin."""
-    rows = []
-
-    def spread(distances: Sequence[float]) -> float:
-        return float(np.std(np.asarray(distances)))
-
     q = random_bloch(700, count=100)
     dists = bures_distance(uqcm_map(q).clone_marginal(0), bloch_ket(q))
-    rows.append(CheckRow("Bures spread, 1->2 cloner", 0.0, spread(dists), 1e-10))
+    rows = [CheckRow("Bures spread, 1->2 cloner", 0.0, np.std(dists), 1e-10)]
 
     for n in range(1, 6):
         q = random_bloch(710 + n, count=100)
         dists = bures_distance(gisin_massar_map(q, n).clone_marginal(0), bloch_ket(q))
-        rows.append(CheckRow(f"Bures spread, n={n}", 0.0, spread(dists), 1e-10))
+        rows.append(CheckRow(f"Bures spread, n={n}", 0.0, np.std(dists), 1e-10))
 
     for m in (2, 3, 4, 8, 16):
         dists = np.concatenate([
             bures_distance(mdim_clone(phi).clone_marginal(0), phi)
             for phi in _chunks(haar_random_ket(m, 730 + m, count=100), m**3)
         ])
-        rows.append(CheckRow(f"Bures spread, m={m}", 0.0, spread(dists), 1e-10))
+        rows.append(CheckRow(f"Bures spread, m={m}", 0.0, np.std(dists), 1e-10))
 
     alpha = np.sqrt(np.random.default_rng(750).uniform(0.0, 1.0, 100))
     dists = bures_distance(register_clone("local", alpha), register_ket(alpha))
     rows.append(
-        CheckRow("Bures spread, local register cloner (must exceed 1e-3)", 1e-3, spread(dists), 0.0, mode="ge")
+        CheckRow("Bures spread, local register cloner (must exceed 1e-3)", 1e-3, np.std(dists), 0.0, mode="ge")
     )
     return CriterionResult(12, "universality of the cloning quality", tuple(rows))
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import checks
 from .analysis import fidelity_formula, mdim_formulas, ppt_separable, scaling_factor_formula
-from .cloners import REGISTER_CLONERS, mdim_coefficients, register_clone
+from .cloners import MAX_CLONE_DIMENSION, REGISTER_CLONERS, mdim_coefficients, register_clone
 from .linalg import _BATCH_AMPS
 from .network import build_copy_stage, build_prep_circuit_1, circuit_to_text
 from .report import report_gm, report_mdim, report_register, report_uqcm
@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gm = kinds.add_parser("gm", parents=[qubit], help="1 -> N+1 qubit cloner")
     p_gm.add_argument("param", metavar="N", type=int, help=f"clone count N, 1..{MAX_CLONE_COUNT}")
     p_mdim = kinds.add_parser("mdim", parents=[report], help="1 -> 2 cloner in M dimensions")
-    p_mdim.add_argument("param", metavar="M", type=int, help="dimension M, 2..64")
+    p_mdim.add_argument("param", metavar="M", type=int, help=f"dimension M, 2..{MAX_CLONE_DIMENSION}")
     p_mdim.add_argument("--seed", type=int, default=0, help="draw the input state from this seed (default 0)")
     for method in REGISTER_CLONERS:
         p_reg = kinds.add_parser(f"register-{method}", parents=[report], help=f"{method} two-qubit register cloner")

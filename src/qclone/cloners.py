@@ -132,11 +132,17 @@ def gisin_massar_map(q: BlochQubit, n: int) -> CloneOutput:
     return CloneOutput(joint=joint, clone_count=n + 1)
 
 
+#: Largest dimension m of the M-dimensional cloner, read by the CLI too: its
+#: joint state holds m**3 amplitudes.
+MAX_CLONE_DIMENSION = 64
+_CLONE_DIMENSION_RULE = f"dimension is limited to 2 <= m <= {MAX_CLONE_DIMENSION}"
+
+
 def mdim_coefficients(m: int) -> tuple[float, float]:
     """Amplitudes (c, d) of the M-dimensional cloning transformation:
     c = sqrt(2/(m+1)), d = sqrt(1/(2(m+1))); these satisfy both the
     unitarity constraint c^2 + 2(m-1)d^2 = 1 and c^2 = 2cd."""
-    m = _size(m, "dimension is limited to 2 <= m <= 64", 2, 64)
+    m = _size(m, _CLONE_DIMENSION_RULE, 2, MAX_CLONE_DIMENSION)
     c = math.sqrt(2.0 / (m + 1))
     d = math.sqrt(1.0 / (2.0 * (m + 1)))
     return c, d

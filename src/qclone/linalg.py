@@ -33,7 +33,8 @@ TOL_SPECTRAL = 1e-10
 _MARGINAL_BLOCK = 2**14
 
 #: Most amplitudes one batched joint state may hold: the size of the single
-#: m = 64 joint state of the M-dimensional cloner.
+#: joint state of the M-dimensional cloner at its largest dimension,
+#: ``cloners.MAX_CLONE_DIMENSION`` = 64.
 _BATCH_AMPS = 2**18
 
 
@@ -206,11 +207,13 @@ def tensor(a, b):
     """
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         amps = a.amps[..., :, None] * b.amps[..., None, :]
-        return _trusted(StateVector, layout=SubsystemLayout(a.layout.dims + b.layout.dims), amps=amps.reshape(amps.shape[:-2] + (-1,)))
+        layout = _trusted(SubsystemLayout, dims=a.layout.dims + b.layout.dims)
+        return _trusted(StateVector, layout=layout, amps=amps.reshape(amps.shape[:-2] + (-1,)))
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
         mat = a.mat[..., :, None, :, None] * b.mat[..., None, :, None, :]
         d = a.dim * b.dim
-        return _trusted(DensityOperator, layout=SubsystemLayout(a.layout.dims + b.layout.dims), mat=mat.reshape(mat.shape[:-4] + (d, d)))
+        layout = _trusted(SubsystemLayout, dims=a.layout.dims + b.layout.dims)
+        return _trusted(DensityOperator, layout=layout, mat=mat.reshape(mat.shape[:-4] + (d, d)))
     raise TypeError("tensor expects two StateVectors or two DensityOperators")
 
 
@@ -250,7 +253,7 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     out = [j for j in keep_sorted] + [j + k for j in keep_sorted]
     red = np.einsum(t, [...] + bra + ket, [...] + out)
     dkeep = math.prod(dims[j] for j in keep_sorted)
-    layout = SubsystemLayout(tuple(dims[j] for j in keep_sorted))
+    layout = _trusted(SubsystemLayout, dims=tuple(dims[j] for j in keep_sorted))
     return _trusted(DensityOperator, layout=layout, mat=red.reshape(lead + (dkeep, dkeep)))
 
 
@@ -272,7 +275,7 @@ def reduced_density(psi: StateVector, keep: Sequence[int]) -> DensityOperator:
     a = psi.amps.reshape(lead + dims).transpose(axes)
     dkeep = math.prod(dims[j] for j in keep)
     a = a.reshape((batch, dkeep, -1))
-    layout = SubsystemLayout(tuple(dims[j] for j in keep))
+    layout = _trusted(SubsystemLayout, dims=tuple(dims[j] for j in keep))
     if dkeep == 2:
         # a qubit: entry (i, j) is the conjugated dot product vecdot(a_j, a_i),
         # one per entry and state, with no conjugated copy and no product

@@ -164,6 +164,13 @@ def test_clone_mdim_checks_range_before_drawing(capsys, monkeypatch, m):
     assert f"dimension is limited to 2 <= m <= 64, got {m}" in capsys.readouterr().err
 
 
+def test_clone_mdim_help_names_the_dimension_cap(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["clone", "mdim", "--help"])
+    assert err.value.code == 0
+    assert "dimension M, 2..64" in capsys.readouterr().out
+
+
 class Reached(Exception):
     """Raised by a patched function the command reached."""
 

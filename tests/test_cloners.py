@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qclone.cloners import (
+    MAX_CLONE_DIMENSION,
     CloneOutput,
     gisin_massar_map,
     local_register_clone,
@@ -13,7 +14,7 @@ from qclone.cloners import (
     register_clone,
     uqcm_map,
 )
-from qclone.linalg import StateVector, SubsystemLayout, reduced_density
+from qclone.linalg import _BATCH_AMPS, StateVector, SubsystemLayout, reduced_density
 from qclone.states import BlochQubit, bloch_ket, haar_random_ket, random_bloch
 
 
@@ -134,6 +135,15 @@ class TestMdim:
         for m in (3.5, 4.0, "4", None):
             with pytest.raises(ValueError, match="2 <= m <= 64"):
                 mdim_coefficients(m)
+
+    def test_dimension_cap_is_named_once(self):
+        """The cap is ``MAX_CLONE_DIMENSION``, and the largest batched joint
+        state is the single joint state at that dimension."""
+        assert MAX_CLONE_DIMENSION == 64
+        assert MAX_CLONE_DIMENSION**3 == _BATCH_AMPS
+        mdim_coefficients(MAX_CLONE_DIMENSION)
+        with pytest.raises(ValueError, match=f"2 <= m <= {MAX_CLONE_DIMENSION}, got {MAX_CLONE_DIMENSION + 1}"):
+            mdim_coefficients(MAX_CLONE_DIMENSION + 1)
 
 
 class TestCloneOutput:

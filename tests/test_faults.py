@@ -162,6 +162,25 @@ def _copy_stage_last_cnot_dropped(monkeypatch):
     monkeypatch.setattr(network, "build_copy_stage", faulty)
 
 
+def _network_output_of_input_0_long(monkeypatch, eps=1e-9):
+    """Gate-network output of the first input scaled by 1 + eps and left
+    unnormalized, so its overlap with the direct map reads 1 + eps against
+    a tolerance of 1e-10: at eps = 1e-9 all five rows fail.  At 1e-10 the
+    overlap sits on the tolerance and rounding decides (here n = 2, 3 and 4
+    fail); at 1e-11 every row passes.  An overlap above 1 is seen only by
+    a row that judges the entry farthest from 1, not by the minimum.  The
+    name criterion 3 imports is patched."""
+    real = checks.clone_via_network
+
+    def faulty(q, n):
+        psi = real(q, n)
+        amps = psi.amps.copy()
+        amps[0] *= 1.0 + eps
+        return _trusted(StateVector, layout=psi.layout, amps=amps)
+
+    monkeypatch.setattr(checks, "clone_via_network", faulty)
+
+
 def _pt_half_width_long(monkeypatch):
     """Closed-form PT spectrum with the half-width r of 1/3 +- r scaled by
     1 + 1e-8; those are the first and last of the ascending eigenvalues for
@@ -232,6 +251,7 @@ FAULTS = [
     (_prep_amp0_long, 1, ("scaling factor s, both clones, 100 Haar inputs", "per-input clone fidelity")),
     (_prep_theta2_long, 2, ("amplitude on |01>", "amplitude on |10>", "amplitude on |11>")),
     (_copy_stage_last_cnot_dropped, 3, tuple(f"min overlap |<network|map>|, n={n}" for n in range(1, 6))),
+    (_network_output_of_input_0_long, 3, tuple(f"min overlap |<network|map>|, n={n}" for n in range(1, 6))),
     (_pt_half_width_long, 6, tuple(f"PT spectrum vs formula, n={n}" for n in range(1, 7))),
     (_a1b1_reads_clone_pair, 7, ("PT spectrum vs frozen values (real inputs)",)),
     (_purity_xi_high, 8, tuple(f"copier purity, n={n}" for n in range(1, 7))),
@@ -281,6 +301,14 @@ def test_pure_fidelity_fault_passes_a_decade_below(monkeypatch):
     at: one decade lower, criterion 9 passes."""
     _pure_fidelity_high(monkeypatch, eps=1e-10)
     assert _run(9).passed
+
+
+def test_network_output_fault_passes_two_decades_below(monkeypatch):
+    """The threshold of ``_network_output_of_input_0_long`` is the decade of
+    the tolerance, 1e-10: there the overlap lands on the tolerance itself,
+    so the pin is one decade further down, where criterion 3 passes."""
+    _network_output_of_input_0_long(monkeypatch, eps=1e-11)
+    assert _run(3).passed
 
 
 def test_local_register_coefficient_fault_passes_a_decade_below(monkeypatch):

@@ -188,6 +188,27 @@ def test_reduced_density_keep_order_is_significant():
     np.testing.assert_allclose(rev, swap, rtol=0, atol=1e-14)
 
 
+def test_derived_layouts_are_not_validated_again(monkeypatch):
+    """A marginal or a product of validated objects takes its layout from
+    dimensions already checked: only the subsystem indices pass through
+    ``_size``, once each, and the layout equals a validated one."""
+    from qclone import linalg
+
+    psi = random_states((2, 3, 4), 2, 5)
+    rho = outer(psi)
+    want = [SubsystemLayout((4, 2)), SubsystemLayout((3,)), SubsystemLayout((2, 3, 4, 2, 3, 4))]
+    calls = []
+    real = linalg._size
+    monkeypatch.setattr(linalg, "_size", lambda value, *rule: calls.append(value) or real(value, *rule))
+    layouts = [reduced_density(psi, [2, 0]).layout]
+    assert calls == [2, 0]
+    layouts.append(partial_trace(rho, [1]).layout)
+    assert calls == [2, 0, 1]
+    layouts += [tensor(psi, psi).layout, tensor(rho, rho).layout]
+    assert calls == [2, 0, 1]
+    assert layouts == want + want[-1:]
+
+
 def test_partial_trace_bell_is_maximally_mixed():
     rho = partial_trace(outer(BELL), [0])
     np.testing.assert_allclose(rho.mat, np.eye(2) / 2, rtol=0, atol=1e-14)
