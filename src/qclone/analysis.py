@@ -34,7 +34,7 @@ from .linalg import (
     purity,
     reduced_density,
 )
-from .states import BlochQubit, bloch_ket, register_ket
+from .states import _TWO_QUBITS, BlochQubit, bloch_ket, register_ket
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def _two_qubit(rows, denom: float, lead: tuple[int, ...]) -> DensityOperator:
     which ``lead`` shapes (``()`` for one qubit)."""
     entries = np.broadcast_arrays(*(x for row in rows for x in row))
     mat = np.stack(entries, axis=-1).reshape(lead + (4, 4)).astype(np.complex128) / denom
-    return DensityOperator(SubsystemLayout((2, 2)), mat)
+    return DensityOperator(_TWO_QUBITS, mat)
 
 
 def clone_pair_density_formula(n: int, q: BlochQubit) -> DensityOperator:

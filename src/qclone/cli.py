@@ -31,7 +31,7 @@ import numpy as np
 
 from . import checks
 from .analysis import fidelity_formula, mdim_formulas, ppt_separable, scaling_factor_formula
-from .cloners import MAX_CLONE_DIMENSION, REGISTER_CLONERS, mdim_coefficients, register_clone
+from .cloners import _REGISTER_JOINT, MAX_CLONE_DIMENSION, REGISTER_CLONERS, mdim_coefficients, register_clone
 from .linalg import _BATCH_AMPS
 from .network import build_copy_stage, build_prep_circuit_1, circuit_to_text
 from .report import report_gm, report_mdim, report_register, report_uqcm
@@ -163,8 +163,7 @@ def cmd_sweep(args) -> int:
         if grid[0] < 0.0 or grid[-1] > 1.0:
             args.parser.error(f"--alpha2 grid must lie in [0, 1], got {args.alpha2!r}")
         rows = ["alpha2,min_pt_eigenvalue,separable"]
-        # both register cloners build 64-amplitude joint states
-        size = _BATCH_AMPS // 64
+        size = _BATCH_AMPS // _REGISTER_JOINT.total
         for k in range(0, len(grid), size):
             a2 = grid[k:k + size]
             sep, min_eig = ppt_separable(register_clone(args.method, np.sqrt(a2)))

@@ -3,6 +3,12 @@
 Each cloner is written as an explicit linear map on amplitudes, independent
 of the gate network, so the two construction routes can be compared against
 each other and against the closed-form expressions in ``analysis``.
+
+Images are rows: a dense cloner is the input amplitudes times a cached
+table whose row i is the joint image of basis state |i>, so a (K, d) batch
+of inputs gives the (K, D) batch of joint outputs in one product.  Only
+``mdim_clone`` scatters its images instead, since at m = 64 the table
+would hold 64 rows of 2**18 amplitudes.
 """
 from __future__ import annotations
 
@@ -16,7 +22,6 @@ from .linalg import (
     DensityOperator,
     StateVector,
     SubsystemLayout,
-    TOL_CONSTRUCT,
     _freeze,
     _size,
     _trusted,
@@ -184,11 +189,31 @@ def mdim_clone(phi: StateVector) -> CloneOutput:
 
 
 @lru_cache(maxsize=None)
+def _mdim_images(m: int) -> np.ndarray:
+    """Images of the m basis states under ``mdim_clone``, as the m rows of
+    one (m, m**3) array."""
+    return mdim_clone(_trusted(StateVector, layout=SubsystemLayout((m,)), amps=np.eye(m))).joint.amps
+
+
+@lru_cache(maxsize=None)
 def _local_register_isometry() -> np.ndarray:
-    """Two independent qubit cloners on the register's two qubits, as one
-    (64, 4) isometry; output wires (a_0, a_1, x_I, b_0, b_1, x_II)."""
-    iso = mdim_clone(StateVector(SubsystemLayout((2,)), np.eye(2))).joint.amps.T
-    return _freeze(np.kron(iso, iso))
+    """Two independent qubit cloners on the register's two qubits, as the
+    (4, 64) images of |00>, |01>, |10>, |11> on the wires (a_0, a_1, x_I,
+    b_0, b_1, x_II) of ``_REGISTER_JOINT``."""
+    return _freeze(np.kron(_mdim_images(2), _mdim_images(2)))
+
+
+#: Joint output of both register cloners as six qubit wires: (a_0, a_1, x_I,
+#: b_0, b_1, x_II) qubit by qubit, and the two copies and the copier of the
+#: four-dimensional cloner, each four-level system read as two qubits.
+_REGISTER_JOINT = SubsystemLayout((2,) * 6)
+
+
+def _register_copy(alpha, images: np.ndarray, wires: list[int]) -> DensityOperator:
+    """The copy on ``wires`` of the register alpha|00> + beta|11> cloned by
+    ``images``, the (4, 64) rows of its basis images."""
+    joint = _trusted(StateVector, layout=_REGISTER_JOINT, amps=register_ket(alpha).amps @ images)
+    return reduced_density(joint, wires)
 
 
 def local_register_clone(alpha) -> DensityOperator:
@@ -196,34 +221,23 @@ def local_register_clone(alpha) -> DensityOperator:
 
     Each register qubit passes through its own 1-to-2 qubit cloner; the
     output registers pair the first qubit of one copy with the second qubit
-    of the other.  Both pairings carry the same state (asserted here), and
-    that common two-qubit density operator is returned.  An array of alphas
-    gives the batch of pair states.
+    of the other.  Both pairings, (a_0, b_1) and (a_1, b_0), carry the same
+    state by the symmetry of the two cloners; the first is returned.  An
+    array of alphas gives the batch of pair states.
     """
-    joint = register_ket(alpha).amps @ _local_register_isometry().T
-    psi = _trusted(StateVector, layout=SubsystemLayout((2,) * 6), amps=joint)
-    pair_ab = reduced_density(psi, [0, 4])  # (a_0, b_1)
-    pair_ba = reduced_density(psi, [1, 3])  # (a_1, b_0)
-    if np.abs(pair_ab.mat - pair_ba.mat).max() > TOL_CONSTRUCT:
-        raise AssertionError("register copy pairings disagree; cloner is broken")
-    return pair_ab
+    return _register_copy(alpha, _local_register_isometry(), [0, 4])
 
 
 def nonlocal_register_clone(alpha) -> DensityOperator:
     """Clone the register alpha|00> + beta|11> as one four-dimensional system.
 
     The four-dimensional cloner acts on the register as a whole, so each of
-    its two output copies is itself a complete two-qubit register.  Both
-    copies carry the same state (asserted here); the first one is returned
-    with its four levels read as qubit pairs |00>, |01>, |10>, |11>.  An
+    its two output copies is itself a complete two-qubit register, its four
+    levels read as qubit pairs |00>, |01>, |10>, |11>.  Both copies carry
+    the same state by the symmetry of the cloner; the first is returned.  An
     array of alphas gives the batch of register states.
     """
-    # the four levels are the register basis |00>, |01>, |10>, |11>
-    out = mdim_clone(_trusted(StateVector, layout=SubsystemLayout((4,)), amps=register_ket(alpha).amps))
-    copy_a, copy_b = out.clone_marginal(0), out.clone_marginal(1)
-    if np.abs(copy_a.mat - copy_b.mat).max() > TOL_CONSTRUCT:
-        raise AssertionError("register copies disagree; cloner is broken")
-    return _trusted(DensityOperator, layout=SubsystemLayout((2, 2)), mat=copy_a.mat)
+    return _register_copy(alpha, _mdim_images(4), [0, 1])
 
 
 #: The register cloners by method name: ``local`` clones qubit by qubit,

@@ -129,12 +129,14 @@ def _clone_pair_checks(out: CloneOutput) -> tuple[list[float], dict[str, bool]]:
     d = out.joint.layout.dims[0]
     if d > 8:
         return [], {}
+    first = out.pair_marginal(0, 1)
     verdicts = {}
     if d == 2:
         for i in range(out.clone_count):
             for j in range(i + 1, out.clone_count):
-                verdicts[f"a{i}-a{j}"] = ppt_separable(out.pair_marginal(i, j))[0]
-    return _pt_spectrum(out.pair_marginal(0, 1)), verdicts
+                pair = first if (i, j) == (0, 1) else out.pair_marginal(i, j)
+                verdicts[f"a{i}-a{j}"] = ppt_separable(pair)[0]
+    return _pt_spectrum(first), verdicts
 
 
 def _report(kind: str, n_or_m: int, info: dict, psi: StateVector, rho: DensityOperator, **rest) -> CloneReport:

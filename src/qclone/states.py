@@ -63,6 +63,7 @@ def _first_failing(x: np.ndarray, ok: np.ndarray) -> float:
 
 
 _QUBIT = SubsystemLayout((2,))
+_TWO_QUBITS = SubsystemLayout((2, 2))
 
 
 def bloch_ket(q: BlochQubit) -> StateVector:
@@ -87,7 +88,7 @@ def register_ket(alpha) -> StateVector:
     amps = np.zeros(alpha.shape + (4,))
     amps[..., 0] = alpha
     amps[..., 3] = np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha))
-    return _trusted(StateVector, layout=SubsystemLayout((2, 2)), amps=amps)
+    return _trusted(StateVector, layout=_TWO_QUBITS, amps=amps)
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qclone import cloners, linalg, states
 from qclone.cloners import (
     MAX_CLONE_DIMENSION,
     CloneOutput,
@@ -204,6 +205,29 @@ class TestRegisterCloners:
         for method in ("local", "nonlocal"):
             with pytest.raises(ValueError, match="at least one state"):
                 register_clone(method, np.array([]))
+
+    @pytest.mark.parametrize("method", ["local", "nonlocal"])
+    def test_one_marginal_per_call(self, monkeypatch, method):
+        """A register cloner reduces its joint state once: the copy it
+        returns.  That both copies agree is a property test's job."""
+        calls = []
+        real = cloners.reduced_density
+        monkeypatch.setattr(cloners, "reduced_density", lambda psi, keep: calls.append(keep) or real(psi, keep))
+        register_clone(method, np.sqrt([0.2, 0.7]))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("method,wires", [("local", [0, 4]), ("nonlocal", [0, 1])])
+    def test_layouts_are_not_validated_again(self, monkeypatch, method, wires):
+        """The register, joint and copy layouts are built once: a call runs
+        ``_size`` only on the wires of the copy it returns."""
+        register_clone(method, 0.5)  # builds the cached images
+        calls = []
+        real = linalg._size
+        for module in (linalg, states, cloners):
+            monkeypatch.setattr(module, "_size", lambda value, *rule: calls.append(value) or real(value, *rule))
+        rho = register_clone(method, np.sqrt([0.2, 0.7]))
+        assert calls == wires
+        assert rho.layout == SubsystemLayout((2, 2))
 
     def test_dispatch_by_method_name(self):
         a = math.sqrt(0.3)

@@ -16,6 +16,7 @@ from qclone.network import Circuit
 
 LOCAL_ONSET = 0.5 - math.sqrt(39.0) / 16.0
 LOCAL_BOUNDARY_ROWS = ("local inseparability onset (alpha^2)", "local inseparability end (alpha^2)")
+NONLOCAL_BOUNDARY_ROWS = ("nonlocal inseparability onset (alpha^2)", "nonlocal inseparability end (alpha^2)")
 
 
 def _ppt_flipped_above_local_onset(monkeypatch):
@@ -49,6 +50,26 @@ def _local_register_coefficient_long(monkeypatch, eps=1e-4):
         return iso
 
     monkeypatch.setattr(cloners, "_local_register_isometry", faulty)
+
+
+def _nonlocal_register_coefficient_long(monkeypatch, eps=1e-4):
+    """Four-dimensional register cloner with the |00> -> |000000> entry of
+    its images scaled by 1 + eps, which moves both nonlocal boundaries by
+    0.196 eps against a tolerance of 1e-6: at eps = 1e-4 the onset and end
+    rows fail, and at 1e-5 they pass.  The density row catches it from
+    1e-9 on.  The module global is patched for m = 4 only, so the cached
+    images, and the local isometry built from those at m = 2, stay as they
+    are."""
+    real = cloners._mdim_images
+
+    def faulty(m):
+        images = real(m)
+        if m == 4:
+            images = images.copy()
+            images[0, 0] *= 1.0 + eps
+        return images
+
+    monkeypatch.setattr(cloners, "_mdim_images", faulty)
 
 
 def _register_corner_off(monkeypatch):
@@ -259,6 +280,7 @@ FAULTS = [
     (_ppt_flipped_above_local_onset, 10, ("local inseparability onset (alpha^2)",)),
     (_register_corner_off, 10, ("local pair density vs closed form (max dev)",)),
     (_local_register_coefficient_long, 10, LOCAL_BOUNDARY_ROWS),
+    (_nonlocal_register_coefficient_long, 10, NONLOCAL_BOUNDARY_ROWS),
     (_marginal_transposed, 5, tuple(f"max idle-qubit deviation, n={n}" for n in range(1, 6))),
     (_gm_image_of_one_long, 4, tuple(f"scaling factor, n={n}" for n in range(1, 7))),
     (_mdim_c_long, 9, ("m=2 joint state equals 1->2 cloner joint",)),
@@ -317,3 +339,11 @@ def test_local_register_coefficient_fault_passes_a_decade_below(monkeypatch):
     _local_register_coefficient_long(monkeypatch, eps=1e-5)
     rows = {r.label: r for r in _run(10).rows}
     assert all(rows[label].ok for label in LOCAL_BOUNDARY_ROWS)
+
+
+def test_nonlocal_register_coefficient_fault_passes_a_decade_below(monkeypatch):
+    """The threshold of ``_nonlocal_register_coefficient_long`` is the decade
+    it is planted at: one decade lower, both nonlocal boundary rows pass."""
+    _nonlocal_register_coefficient_long(monkeypatch, eps=1e-5)
+    rows = {r.label: r for r in _run(10).rows}
+    assert all(rows[label].ok for label in NONLOCAL_BOUNDARY_ROWS)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qclone import cloners
 from qclone.analysis import (
     clone_pair_density_formula,
     extract_scaling_factor,
@@ -283,6 +284,29 @@ def test_batched_register_clones_equal_scalar_calls(method, alphas):
     assert got.shape == (len(alphas), 4, 4)
     for k, alpha in enumerate(alphas):
         assert np.array_equal(got[k], register_clone(method, alpha).mat)
+
+
+#: Per register cloner: its cached basis images, the wires of the copy it
+#: returns and the wires of the copy that must equal it.
+REGISTER_PAIRINGS = {
+    "local": (cloners._local_register_isometry, [0, 4], [1, 3]),  # (a_0, b_1), (a_1, b_0)
+    "nonlocal": (lambda: cloners._mdim_images(4), [0, 1], [2, 3]),  # copy a, copy b
+}
+
+
+@PROPERTY
+@given(st.sampled_from(["local", "nonlocal"]), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+@example("local", [0.0, 1.0, math.sqrt(0.5)])
+@example("nonlocal", [0.0, 1.0, math.sqrt(0.5)])
+def test_register_copies_agree(method, alphas):
+    """Both copies in the joint output of a register cloner carry the same
+    state within 1e-12, and the cloner returns the first.  The joint is
+    rebuilt, and validated, from the register kets and the cached images."""
+    images, returned, other = REGISTER_PAIRINGS[method]
+    joint = StateVector(SubsystemLayout((2,) * 6), register_ket(np.array(alphas)).amps @ images())
+    first = reduced_density(joint, returned).mat
+    np.testing.assert_allclose(first, reduced_density(joint, other).mat, rtol=0, atol=1e-12)
+    assert np.array_equal(register_clone(method, np.array(alphas)).mat, first)
 
 
 @PROPERTY
