@@ -155,16 +155,27 @@ def mean_fidelity(
     return float(total)
 
 
+def _ppt_spectrum(rho: DensityOperator):
+    """Whether the partial transpose of rho on subsystem 1 is positive,
+    counting eigenvalues down to -1e-10 as zero, and its ascending
+    eigenvalues, both from one eigensolve: a bool and a spectrum for one
+    operator, an array of bools and the (K, d) stack of spectra for a
+    batch.  Any layout of at least two subsystems; the verdict means
+    separability only where ``ppt_separable`` accepts the layout."""
+    w = hermitian_eigenvalues(partial_transpose(rho, 1))
+    ppt = w[..., 0] >= -TOL_SPECTRAL
+    return (ppt if ppt.ndim else bool(ppt)), w
+
+
 def ppt_separable(rho: DensityOperator):
     """Peres-Horodecki test for a two-qubit state, where positivity of the
     partial transpose is conclusive.  Returns (separable, min eigenvalue):
     a bool and a float for one operator, two arrays for a batch."""
     if rho.layout.dims != (2, 2):
         raise ValueError(f"conclusive only for a (2, 2) layout, got {rho.layout.dims}")
-    w = hermitian_eigenvalues(partial_transpose(rho, 1))[..., 0]
-    if w.ndim:
-        return w >= -TOL_SPECTRAL, w
-    return bool(w >= -TOL_SPECTRAL), float(w)
+    sep, w = _ppt_spectrum(rho)
+    w = w[..., 0]
+    return sep, (w if w.ndim else float(w))
 
 
 def _two_qubit(rows, denom: float, lead: tuple[int, ...]) -> DensityOperator:

@@ -100,7 +100,9 @@ class CriterionResult:
 
 def _chunks(kets: StateVector, joint_dim: int) -> list[StateVector]:
     """Split a batch of inputs so that no batch of their joint states, of
-    ``joint_dim`` amplitudes each, holds more than _BATCH_AMPS."""
+    ``joint_dim`` amplitudes each, holds more than _BATCH_AMPS.  The caller
+    keeps the other half of the rule: it lets one chunk's joint go before
+    it builds the next, so it never holds two."""
     size = max(1, _BATCH_AMPS // joint_dim)
     return [StateVector(kets.layout, kets.amps[k:k + size]) for k in range(0, len(kets.amps), size)]
 
@@ -227,26 +229,37 @@ def criterion_copier_purity() -> CriterionResult:
     return CriterionResult(8, "copier purity law", tuple(rows))
 
 
+def _mdim_input(phi: StateVector) -> tuple[float, float, list[float], np.ndarray]:
+    """One input's numbers for criterion 9: the clone's scaling factor and
+    Bures distance, the clone and copier entropies less their closed forms,
+    and the copier marginal's entrywise deviation from its closed form.
+    The m**3 joint state dies when this returns, so the criterion never
+    holds two of them."""
+    _, _, entropy_clone, entropy_copier = analysis.mdim_formulas(phi.dim)
+    out = mdim_clone(phi)
+    marg = out.clone_marginal(0)
+    copier = out.copier_marginal()
+    return (
+        analysis.extract_scaling_factor(marg, outer(phi)).s,
+        bures_distance(marg, phi),
+        [von_neumann_entropy(marg) - entropy_clone, von_neumann_entropy(copier) - entropy_copier],
+        np.abs(copier.mat - analysis.mdim_copier_formula(phi).mat).ravel(),
+    )
+
+
 def criterion_mdim() -> CriterionResult:
     """M-dimensional cloner: scaling, Bures distance, entropies and the
     copier marginal all match their closed forms; M = 2 reduces to the
     qubit cloner exactly."""
     rows, ent_devs, copier_devs = [], [], []
     for m in (2, 3, 4, 8, 16, 32, 64):
-        scaling, bures, entropy_clone, entropy_copier = analysis.mdim_formulas(m)
-        s_vals, b_vals = [], []
-        for k in range(2):
-            phi = haar_random_ket(m, seed=600 + 10 * m + k)
-            out = mdim_clone(phi)
-            ideal = outer(phi)
-            marg = out.clone_marginal(0)
-            s_vals.append(analysis.extract_scaling_factor(marg, ideal).s)
-            b_vals.append(bures_distance(marg, phi))
-            copier = out.copier_marginal()
-            ent_devs += [von_neumann_entropy(marg) - entropy_clone, von_neumann_entropy(copier) - entropy_copier]
-            copier_devs.append(np.abs(copier.mat - analysis.mdim_copier_formula(phi).mat).ravel())
+        scaling, bures, _, _ = analysis.mdim_formulas(m)
+        inputs = [haar_random_ket(m, seed=600 + 10 * m + k) for k in range(2)]
+        s_vals, b_vals, ents, copiers = zip(*map(_mdim_input, inputs))
         rows.append(CheckRow(f"scaling factor, m={m}", scaling, s_vals, 1e-9))
         rows.append(CheckRow(f"Bures distance to ideal, m={m}", bures, b_vals, 1e-9))
+        ent_devs += ents
+        copier_devs += copiers
     rows.append(CheckRow("clone/copier entropies vs formulas (max dev)", 0.0, np.abs(ent_devs), 1e-9))
     rows.append(CheckRow("copier marginal vs closed form (max dev)", 0.0, np.concatenate(copier_devs), 1e-9))
     # m = 2 must be the qubit cloner itself, joint state and all

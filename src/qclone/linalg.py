@@ -34,7 +34,9 @@ _MARGINAL_BLOCK = 2**14
 
 #: Most amplitudes one batched joint state may hold: the size of the single
 #: joint state of the M-dimensional cloner at its largest dimension,
-#: ``cloners.MAX_CLONE_DIMENSION`` = 64.
+#: ``cloners.MAX_CLONE_DIMENSION`` = 64 (4 MiB).  A criterion of ``checks``
+#: also holds at most one such joint at a time: it lets each go before it
+#: builds the next, which a tier-1 test checks under ``tracemalloc``.
 _BATCH_AMPS = 2**18
 
 

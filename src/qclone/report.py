@@ -13,15 +13,13 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 
-from .analysis import extract_scaling_factor, ppt_separable
+from .analysis import _ppt_spectrum, extract_scaling_factor, ppt_separable
 from .cloners import CloneOutput, gisin_massar_map, mdim_clone, register_clone, uqcm_map
 from .linalg import (
     DensityOperator,
     StateVector,
     bures_distance,
-    hermitian_eigenvalues,
     outer,
-    partial_transpose,
     pure_fidelity,
     purity,
     von_neumann_entropy,
@@ -117,26 +115,22 @@ def _input(seed=None, **values) -> dict:
     return info
 
 
-def _pt_spectrum(rho: DensityOperator) -> list[float]:
-    return [float(x) for x in hermitian_eigenvalues(partial_transpose(rho, 1))]
-
-
 def _clone_pair_checks(out: CloneOutput) -> tuple[list[float], dict[str, bool]]:
     """PT spectrum of the first clone pair for clones of dimension up to 8
     (beyond that the d^2 x d^2 eigensolve is not worth it), plus the
     separability verdict of every pair of qubit clones, where the PT test is
-    conclusive."""
+    conclusive.  One eigensolve per pair: the first pair's verdict comes
+    from its spectrum."""
     d = out.joint.layout.dims[0]
     if d > 8:
         return [], {}
-    first = out.pair_marginal(0, 1)
+    first, spectrum = _ppt_spectrum(out.pair_marginal(0, 1))
     verdicts = {}
     if d == 2:
         for i in range(out.clone_count):
             for j in range(i + 1, out.clone_count):
-                pair = first if (i, j) == (0, 1) else out.pair_marginal(i, j)
-                verdicts[f"a{i}-a{j}"] = ppt_separable(pair)[0]
-    return _pt_spectrum(first), verdicts
+                verdicts[f"a{i}-a{j}"] = first if (i, j) == (0, 1) else ppt_separable(out.pair_marginal(i, j))[0]
+    return spectrum.tolist(), verdicts
 
 
 def _report(kind: str, n_or_m: int, info: dict, psi: StateVector, rho: DensityOperator, **rest) -> CloneReport:
@@ -189,10 +183,10 @@ def report_mdim(phi: StateVector, seed=None) -> CloneReport:
 def report_register(method: str, alpha: float) -> CloneReport:
     """Measure everything on one cloned register pairing."""
     rho = register_clone(method, alpha)
-    sep, _ = ppt_separable(rho)
+    sep, spectrum = _ppt_spectrum(rho)
     return _report(
         f"register-{method}", 4, _input(alpha=alpha), register_ket(alpha), rho,
-        pt_eigenvalues=_pt_spectrum(rho),
+        pt_eigenvalues=spectrum.tolist(),
         separable={"a0b1": sep},
         entropies={"clone_pair": von_neumann_entropy(rho)},
     )

@@ -273,6 +273,32 @@ class TestPptSeparable:
         with pytest.raises(ValueError):
             ppt_separable(rho)
 
+    def test_batch_equals_scalar_calls_at_the_threshold(self):
+        """Werner states p|Phi+><Phi+| + (1-p) I/4, turned by local unitaries,
+        have smallest PT eigenvalue (1-3p)/4; these sit within 1e-10 of the
+        threshold -1e-10 on both sides, plus one far on each side.  The batch
+        gives bit for bit the verdicts and eigenvalues of one call each."""
+        from qclone.linalg import StateVector
+        from qclone.states import haar_random_ket
+
+        targets = -1e-10 + np.array([-0.5, -1e-10, -1e-12, -1e-14, 1e-14, 1e-12, 1e-10, 0.5e-10, 0.1])
+        p = (1.0 - 4.0 * targets) / 3.0
+        phi = outer(StateVector(SubsystemLayout((2, 2)), np.array([1, 0, 0, 1]) / math.sqrt(2))).mat
+        werner = p[:, None, None] * phi + (1.0 - p[:, None, None]) * np.eye(4) / 4.0
+        # a local unitary U (x) V from the columns of two Haar kets and their orthogonal partners
+        u = haar_random_ket(2, 31, count=len(targets)).amps
+        v = haar_random_ket(2, 32, count=len(targets)).amps
+        rot = [np.stack([a, [-np.conj(a[1]), np.conj(a[0])]], axis=1) for a in (*u, *v)]
+        locals_ = np.stack([np.kron(rot[k], rot[len(targets) + k]) for k in range(len(targets))])
+        mats = locals_ @ werner @ np.conj(locals_.swapaxes(-1, -2))
+        batch = DensityOperator(SubsystemLayout((2, 2)), mats)
+        sep, min_eig = ppt_separable(batch)
+        scalar = [ppt_separable(DensityOperator(SubsystemLayout((2, 2)), m)) for m in mats]
+        assert [(bool(s), float(w)) for s, w in zip(sep, min_eig)] == scalar
+        assert all(type(s) is bool and type(w) is float for s, w in scalar)
+        assert sep.tolist() == (targets >= -1e-10).tolist()
+        np.testing.assert_allclose(min_eig, targets, rtol=0, atol=1e-15)
+
 
 class TestClonePairForms:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -1,8 +1,13 @@
-"""``CheckRow`` reduces the batch it is given to its worst input."""
+"""``CheckRow`` reduces the batch it is given to its worst input, and no
+criterion holds more than one batched joint state at a time."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qclone import checks
 from qclone.checks import CheckRow
+from qclone.linalg import _BATCH_AMPS
 
 
 @pytest.mark.parametrize("values, worst", [
@@ -51,3 +56,25 @@ def test_unknown_mode_raises_when_the_row_is_built():
 def test_a_nan_entry_fails_every_mode():
     for mode in ("abs", "ge", "le"):
         assert not CheckRow("r", 0.0, [0.0, np.nan], 1.0, mode=mode).ok
+
+
+def test_each_criterion_holds_at_most_one_batched_joint():
+    """One batched joint state holds at most _BATCH_AMPS amplitudes, and a
+    criterion holds at most one of them at a time: its traced peak above
+    where it started stays within 1.5 such joints (6 MiB).  Holding two
+    m = 64 joints of criterion 9 at once peaks near 8.9 MiB."""
+    bound = 1.5 * _BATCH_AMPS * np.dtype(np.complex128).itemsize
+    peaks = {}
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        for criterion in checks.ALL_CRITERIA:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            criterion()
+            peaks[criterion.__name__] = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert {name: peak for name, peak in peaks.items() if peak > bound} == {}

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qclone import analysis, linalg, report
 from qclone.report import (
     report_gm,
     report_mdim,
@@ -100,3 +101,24 @@ def test_table_lists_every_csv_column_value():
     table = rep.to_table()
     assert "scaling_factor" in table
     assert table.endswith("\n")
+
+
+@pytest.mark.parametrize("build, pairs", [
+    (lambda: report_uqcm(BlochQubit(1.0, 0.5)), 1),
+    (lambda: report_gm(BlochQubit(1.0, 0.5), 3), 6),
+    (lambda: report_register("nonlocal", math.sqrt(0.5)), 1),
+], ids=["uqcm", "gm-3", "register"])
+def test_one_pt_solve_per_clone_pair(monkeypatch, build, pairs):
+    """The first pair's verdict and its reported spectrum come from one
+    partial transpose, solved once."""
+    solved = []
+
+    def counting(rho, sub):
+        solved.append(rho.mat.shape)
+        return linalg.partial_transpose(rho, sub)
+
+    for module in (analysis, report):
+        monkeypatch.setattr(module, "partial_transpose", counting, raising=False)
+    rep = build()
+    assert solved == [(4, 4)] * pairs
+    assert len(rep.separable) == pairs and len(rep.pt_eigenvalues) == 4

@@ -13,15 +13,20 @@ as in ``run.py``, its outputs are checked outside the timed region, and a
 failed or wrong operation stops the comparison.
 
 Prints each side's median round time with its quartiles, and its wins: the
-pairs in which its round was the faster one (ties count for neither).  Both
-workers stay alive between pairs, so the comparison sees the host drift
-alike on both sides instead of between two runs minutes apart.
+pairs in which its round was the faster one (ties count for neither).  For
+memory, each side also prints the median of its rounds' minor page faults
+(``ru_minflt`` read just before and just after the timed region) and its
+worker's peak resident set (``ru_maxrss``, in MB of 1024 KiB as ``run.py``
+reports it) after its last round.  Both workers stay alive between pairs,
+so the comparison sees the host drift alike on both sides instead of
+between two runs minutes apart.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -55,8 +60,10 @@ def worker(checkout: str, workload: str, seed: int) -> int:
 
 
 def one_round(operations) -> dict:
-    """Run every operation once; the wall time of the round, and the first
-    problems its checks found."""
+    """Run every operation once; the wall time of the round, the minor page
+    faults it took, the process's peak resident set in KiB after it, and
+    the first problems its checks found."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     outputs = []
     for op in operations:
@@ -65,13 +72,14 @@ def one_round(operations) -> dict:
         except Exception as exc:  # reported as a problem, not fatal to the worker
             outputs.append(exc)
     elapsed = time.perf_counter() - start
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     problems = []
     for op, out in zip(operations, outputs):
         if isinstance(out, Exception):
             problems.append(f"{op.label}: {out!r}")
         else:
             problems += [f"{op.label}: {p}" for p in op.check(out)]
-    return {"s": elapsed, "problems": problems[:5]}
+    return {"s": elapsed, "minflt": usage.ru_minflt - faults, "maxrss_kb": usage.ru_maxrss, "problems": problems[:5]}
 
 
 class Worker:
@@ -97,10 +105,10 @@ class Worker:
             raise RuntimeError("round went wrong: " + "; ".join(msg["problems"]))
         return msg
 
-    def round(self) -> float:
+    def round(self) -> dict:
         self.proc.stdin.write("round\n")
         self.proc.stdin.flush()
-        return self.reply()["s"]
+        return self.reply()
 
     def close(self) -> None:
         self.proc.stdin.close()
@@ -131,23 +139,29 @@ def main(argv=None) -> int:
     try:
         for side in sides:
             workers[side] = Worker(getattr(args, side), args.workload, args.seed)
-        times = {side: [] for side in sides}
+        rounds = {side: [] for side in sides}
         for i in range(args.pairs):
             for side in (sides if i % 2 == 0 else sides[::-1]):
-                times[side].append(workers[side].round())
+                rounds[side].append(workers[side].round())
     finally:
         for w in workers.values():
             w.close()
+
+    times = {side: [r["s"] for r in rounds[side]] for side in sides}
 
     wins = {
         "parent": sum(p < c for p, c in zip(times["parent"], times["change"])),
         "change": sum(c < p for p, c in zip(times["parent"], times["change"])),
     }
     print(f"{args.workload}, seed {args.seed}: {args.pairs} pairs of single rounds, alternating which side goes first")
-    print(f"{'side':<8} {'median_ms':>10} {'q1_ms':>8} {'q3_ms':>8} {'wins':>5}")
+    print(f"{'side':<8} {'median_ms':>10} {'q1_ms':>8} {'q3_ms':>8} {'wins':>5} {'minflt':>7} {'maxrss_mb':>10}")
     for side in sides:
         med, q1, q3 = summary(times[side])
-        print(f"{side:<8} {med * 1e3:>10.3f} {q1 * 1e3:>8.3f} {q3 * 1e3:>8.3f} {wins[side]:>5}")
+        faults = statistics.median(r["minflt"] for r in rounds[side])
+        rss = rounds[side][-1]["maxrss_kb"] / 1024.0
+        print(
+            f"{side:<8} {med * 1e3:>10.3f} {q1 * 1e3:>8.3f} {q3 * 1e3:>8.3f} {wins[side]:>5} {faults:>7g} {rss:>10.2f}"
+        )
     (pm, pq1, pq3), (cm, _, _) = summary(times["parent"]), summary(times["change"])
     print(f"median change {100.0 * (cm / pm - 1.0):+.1f} %; parent quartile spread {(pq3 - pq1) * 1e3:.3f} ms")
     return 0
