@@ -27,6 +27,7 @@ from .linalg import (
     _freeze,
     _inner,
     _size,
+    _unbatched,
     hermitian_eigenvalues,
     outer,
     partial_transpose,
@@ -63,9 +64,7 @@ def extract_scaling_factor(rho_out: DensityOperator, rho_id: DensityOperator) ->
         raise ValueError("ideal state is maximally mixed; scaling factor is undefined")
     s = _inner(flat_dir, target.reshape(target.shape[:-2] + (-1,))).real / denom
     residual = np.abs(target - s[..., None, None] * direction).max(axis=(-2, -1))
-    if s.ndim:
-        return ScalingFit(s=s, residual=residual)
-    return ScalingFit(s=float(s), residual=float(residual))
+    return ScalingFit(s=_unbatched(s), residual=_unbatched(residual))
 
 
 def scaling_factor_formula(n: int) -> float:
@@ -163,8 +162,7 @@ def _ppt_spectrum(rho: DensityOperator):
     batch.  Any layout of at least two subsystems; the verdict means
     separability only where ``ppt_separable`` accepts the layout."""
     w = hermitian_eigenvalues(partial_transpose(rho, 1))
-    ppt = w[..., 0] >= -TOL_SPECTRAL
-    return (ppt if ppt.ndim else bool(ppt)), w
+    return _unbatched(w[..., 0] >= -TOL_SPECTRAL), w
 
 
 def ppt_separable(rho: DensityOperator):
@@ -174,8 +172,7 @@ def ppt_separable(rho: DensityOperator):
     if rho.layout.dims != (2, 2):
         raise ValueError(f"conclusive only for a (2, 2) layout, got {rho.layout.dims}")
     sep, w = _ppt_spectrum(rho)
-    w = w[..., 0]
-    return sep, (w if w.ndim else float(w))
+    return sep, _unbatched(w[..., 0])
 
 
 def _two_qubit(rows, denom: float, lead: tuple[int, ...]) -> DensityOperator:
@@ -240,8 +237,7 @@ def rho_a1b1_pt_spectrum(q: BlochQubit) -> np.ndarray:
     stays negative for every input.  A batched ``q`` gives one ascending
     spectrum per row."""
     out = gisin_massar_map(q, 1)
-    rho = reduced_density(out.joint, [1, 2])  # (a_1, b_1)
-    return hermitian_eigenvalues(partial_transpose(rho, 1))
+    return _ppt_spectrum(reduced_density(out.joint, [1, 2]))[1]  # (a_1, b_1)
 
 
 def idle_qubit_check(out: CloneOutput, q: BlochQubit):
@@ -256,7 +252,7 @@ def idle_qubit_check(out: CloneOutput, q: BlochQubit):
             raise ValueError("idle-qubit law applies to qubit copier wires only")
         got = reduced_density(out.joint, [out.clone_count + j]).mat
         worst = np.maximum(worst, np.abs(got - expected).max(axis=(-2, -1)))
-    return worst if np.ndim(worst) else float(worst)
+    return _unbatched(worst)
 
 
 def purity_xi(n: int) -> float:

@@ -29,9 +29,7 @@ from .linalg import (
     _BATCH_AMPS,
     _inner,
     bures_distance,
-    hermitian_eigenvalues,
     outer,
-    partial_transpose,
     pure_fidelity,
     reduced_density,
     von_neumann_entropy,
@@ -40,12 +38,14 @@ from .network import build_prep_circuit_1, clone_via_network, run_circuit
 from .states import BlochQubit, bloch_ket, haar_random_ket, random_bloch, register_ket
 
 
-#: The worst entry of a batch under each row mode: the entry farthest from
-#: the reference on either side, the smallest, the largest.
-_WORST = {
-    "abs": linalg._worst,
-    "ge": lambda values, reference: np.min(values),
-    "le": lambda values, reference: np.max(values),
+#: Each row mode as (worst, passes): the worst entry of a batch, which is
+#: the entry farthest from the reference on either side, the smallest or the
+#: largest, and the test that entry must pass.  Each test is one comparison,
+#: so a NaN fails every mode.
+_MODES = {
+    "abs": (linalg._worst, lambda got, ref, tol: abs(got - ref) <= tol),
+    "ge": (lambda values, ref: np.min(values), lambda got, ref, tol: got >= ref - tol),
+    "le": (lambda values, ref: np.max(values), lambda got, ref, tol: got <= ref + tol),
 }
 
 
@@ -70,9 +70,9 @@ class CheckRow:
     mode: str = "abs"
 
     def __post_init__(self):
-        if self.mode not in _WORST:
+        if self.mode not in _MODES:
             raise ValueError(f"unknown row mode {self.mode!r}")
-        object.__setattr__(self, "computed", float(_WORST[self.mode](self.computed, self.reference)))
+        object.__setattr__(self, "computed", float(_MODES[self.mode][0](self.computed, self.reference)))
 
     @property
     def delta(self) -> float:
@@ -80,11 +80,7 @@ class CheckRow:
 
     @property
     def ok(self) -> bool:
-        if self.mode == "abs":
-            return self.delta <= self.tol
-        if self.mode == "ge":
-            return self.computed >= self.reference - self.tol
-        return self.computed <= self.reference + self.tol
+        return _MODES[self.mode][1](self.computed, self.reference, self.tol)
 
 
 @dataclass(frozen=True)
@@ -192,7 +188,7 @@ def criterion_pt_spectra() -> CriterionResult:
     for n in range(1, 7):
         formula = analysis.pt_spectrum_formula(n)
         out = gisin_massar_map(random_bloch(400 + n, count=20), n)
-        spectra = hermitian_eigenvalues(partial_transpose(out.pair_marginal(0, 1), 1))
+        spectra = analysis._ppt_spectrum(out.pair_marginal(0, 1))[1]
         rows.append(CheckRow(f"PT spectrum vs formula, n={n}", 0.0, np.abs(spectra - formula), 1e-9))
         rows.append(CheckRow(f"PT spectrum input dependence (std), n={n}", 0.0, spectra.std(axis=0), 1e-10))
         min_eigs.append(spectra[:, 0])

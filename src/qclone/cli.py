@@ -34,7 +34,7 @@ from .analysis import fidelity_formula, mdim_formulas, ppt_separable, scaling_fa
 from .cloners import _REGISTER_JOINT, MAX_CLONE_DIMENSION, REGISTER_CLONERS, mdim_coefficients, register_clone
 from .linalg import _BATCH_AMPS
 from .network import build_copy_stage, build_prep_circuit_1, circuit_to_text
-from .report import report_gm, report_mdim, report_register, report_uqcm
+from .report import _csv_row, report_gm, report_mdim, report_register, report_uqcm
 from .states import BlochQubit, MAX_CLONE_COUNT, haar_random_ket, random_bloch
 
 #: the CloneReport method that prints each --format choice, by name: it is
@@ -148,16 +148,13 @@ def cmd_reproduce(args) -> int:
 def cmd_sweep(args) -> int:
     if args.name == "mdim-scaling":
         rows = ["m,scaling_factor,bures,entropy_clone,entropy_copier"]
-        for m in _parse_int_range(args.m, args.parser, "--m", 2):
-            scaling, bures, entropy_clone, entropy_copier = mdim_formulas(m)
-            rows.append(
-                f"{m},{scaling:.12g},{bures:.12g},"
-                f"{entropy_clone:.12g},{entropy_copier:.12g}"
-            )
+        rows += [_csv_row(m, *mdim_formulas(m)) for m in _parse_int_range(args.m, args.parser, "--m", 2)]
     elif args.name == "gm-fidelity":
         rows = ["n,scaling_factor,fidelity"]
-        for n in _parse_int_range(args.n, args.parser, "--n", 1):
-            rows.append(f"{n},{scaling_factor_formula(n):.12g},{fidelity_formula(n):.12g}")
+        rows += [
+            _csv_row(n, scaling_factor_formula(n), fidelity_formula(n))
+            for n in _parse_int_range(args.n, args.parser, "--n", 1)
+        ]
     else:  # register-negativity
         grid = _parse_grid(args.alpha2, args.parser, "--alpha2")
         if grid[0] < 0.0 or grid[-1] > 1.0:
@@ -167,8 +164,7 @@ def cmd_sweep(args) -> int:
         for k in range(0, len(grid), size):
             a2 = grid[k:k + size]
             sep, min_eig = ppt_separable(register_clone(args.method, np.sqrt(a2)))
-            for x, e, ok in zip(a2.tolist(), min_eig.tolist(), sep.tolist()):
-                rows.append(f"{x:.12g},{e:.12g},{str(ok).lower()}")
+            rows += map(_csv_row, a2.tolist(), min_eig.tolist(), sep.tolist())
     _emit("\n".join(rows) + "\n", args.output)
     return 0
 

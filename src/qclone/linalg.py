@@ -78,6 +78,13 @@ def _worst(values: np.ndarray, ref: float) -> complex:
     return values[np.argmax(np.abs(values - ref))].item()
 
 
+def _unbatched(x: np.ndarray):
+    """The one exit of a functional's result: ``x`` as it is for a batch,
+    and for a single input, which leaves no axis, its value as a Python
+    float or bool."""
+    return x if x.ndim else x.item()
+
+
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a|b> of each pair of last-axis vectors in two broadcast stacks, as
     one row-times-column product per pair (the sum ``np.vdot`` takes)."""
@@ -331,7 +338,7 @@ def von_neumann_entropy(rho):
     one operator, the array of entropies for a batch."""
     w = hermitian_eigenvalues(rho)
     s = -np.sum(w * np.log(w, out=np.zeros_like(w), where=w > 0.0), axis=-1)
-    return s if s.ndim else float(s)
+    return _unbatched(s)
 
 
 def purity(rho):
@@ -340,8 +347,7 @@ def purity(rho):
     what :func:`hermitian_eigenvalues` accepts."""
     mat = _hermitian(rho).mat
     flat = mat.reshape(mat.shape[:-2] + (-1,))
-    p = _inner(flat, flat).real
-    return p if p.ndim else float(p)
+    return _unbatched(_inner(flat, flat).real)
 
 
 def pure_fidelity(psi: StateVector, rho: DensityOperator):
@@ -351,8 +357,7 @@ def pure_fidelity(psi: StateVector, rho: DensityOperator):
     operators, or of both, the array of the elementwise fidelities (a single
     state or operator pairs with every element of the other batch).
     """
-    f = _inner(psi.amps, (rho.mat @ psi.amps[..., :, None])[..., 0]).real
-    return f if f.ndim else float(f)
+    return _unbatched(_inner(psi.amps, (rho.mat @ psi.amps[..., :, None])[..., 0]).real)
 
 
 def _clipped_sqrt(w: np.ndarray) -> np.ndarray:
@@ -387,15 +392,12 @@ def sqrt_fidelity(rho1: DensityOperator, rho2: DensityOperator | StateVector):
     if rho1.dim != rho2.dim:
         raise ValueError("fidelity arguments have mismatched dimensions")
     if isinstance(rho2, StateVector):
-        f = np.sqrt(np.maximum(pure_fidelity(rho2, rho1), 0.0))
-        return f if f.ndim else float(f)
+        return _unbatched(np.sqrt(np.maximum(pure_fidelity(rho2, rho1), 0.0)))
     s = _psd_sqrt(rho1.mat)
-    f = _clipped_sqrt(np.linalg.eigvalsh(s @ rho2.mat @ s)).sum(axis=-1)
-    return f if f.ndim else float(f)
+    return _unbatched(_clipped_sqrt(np.linalg.eigvalsh(s @ rho2.mat @ s)).sum(axis=-1))
 
 
 def bures_distance(rho1: DensityOperator, rho2: DensityOperator | StateVector):
     """Bures distance sqrt(2) * (1 - sqrt_fidelity)^(1/2), elementwise over
     a batch like :func:`sqrt_fidelity`; rho2 may be a pure StateVector."""
-    b = np.sqrt(2.0 * (1.0 - np.minimum(sqrt_fidelity(rho1, rho2), 1.0)))
-    return b if b.ndim else float(b)
+    return _unbatched(np.sqrt(2.0 * (1.0 - np.minimum(sqrt_fidelity(rho1, rho2), 1.0))))

@@ -77,7 +77,7 @@ class CloneReport:
             "entropy_clone": self.entropies.get("clone", self.entropies.get("clone_pair")),
             "entropy_copier": self.entropies.get("copier"),
         }
-        return ",".join(vals) + "\n" + ",".join(_fmt(v) for v in vals.values()) + "\n"
+        return _csv_row(*vals) + "\n" + _csv_row(*vals.values()) + "\n"
 
     def to_table(self) -> str:
         lines = []
@@ -94,18 +94,24 @@ class CloneReport:
 
 
 def _fmt(x) -> str:
-    """One value as the table and the CSV print it: nothing for None, a
-    lower-case boolean, a float at 12 significant digits, a list as its
-    items joined by spaces."""
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return str(x).lower()
+    """One value as the table and the CSV print it: a float at 12
+    significant digits, a lower-case boolean, nothing for None, a list as
+    its items joined by spaces.  The float, the most common value in a
+    sweep's rows, is tested first."""
     if isinstance(x, float):
         return f"{x:.12g}"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if x is None:
+        return ""
     if isinstance(x, list):
         return " ".join(map(_fmt, x))
     return str(x)
+
+
+def _csv_row(*values) -> str:
+    """One CSV row of values as ``_fmt`` prints them, with no line end."""
+    return ",".join(map(_fmt, values))
 
 
 def _input(seed=None, **values) -> dict:

@@ -41,7 +41,10 @@ from qclone.linalg import (
     outer,
     partial_trace,
     partial_transpose,
+    pure_fidelity,
+    purity,
     reduced_density,
+    sqrt_fidelity,
     von_neumann_entropy,
 )
 from qclone.network import Circuit, build_copy_stage, clone_via_network, cnot, rotation
@@ -179,6 +182,41 @@ def test_closed_forms_take_numpy_integers():
     # and they are kept as Python ints
     assert type(Circuit(np.int64(2), (cnot(np.int64(1), 0),)).ops[0].wires[0]) is int
     assert type(CloneOutput(_OUT.joint, np.int64(2)).clone_count) is int
+
+
+#: Each functional of one cloning run (q, out) of the 1 -> 2 cloner, and
+#: the type it returns for a single input.
+SCALAR_RESULTS = {
+    "von_neumann_entropy": (float, lambda q, out: von_neumann_entropy(out.clone_marginal(0))),
+    "purity": (float, lambda q, out: purity(out.clone_marginal(0))),
+    "pure_fidelity": (float, lambda q, out: pure_fidelity(bloch_ket(q), out.clone_marginal(0))),
+    "sqrt_fidelity": (float, lambda q, out: sqrt_fidelity(out.clone_marginal(0), outer(bloch_ket(q)))),
+    "sqrt_fidelity-ket": (float, lambda q, out: sqrt_fidelity(out.clone_marginal(0), bloch_ket(q))),
+    "bures_distance": (float, lambda q, out: bures_distance(out.clone_marginal(0), outer(bloch_ket(q)))),
+    "bures_distance-ket": (float, lambda q, out: bures_distance(out.clone_marginal(0), bloch_ket(q))),
+    "scaling-s": (float, lambda q, out: extract_scaling_factor(out.clone_marginal(0), outer(bloch_ket(q))).s),
+    "scaling-residual": (
+        float, lambda q, out: extract_scaling_factor(out.clone_marginal(0), outer(bloch_ket(q))).residual
+    ),
+    "ppt_separable-verdict": (bool, lambda q, out: ppt_separable(out.pair_marginal(0, 1))[0]),
+    "ppt_separable-min-eigenvalue": (float, lambda q, out: ppt_separable(out.pair_marginal(0, 1))[1]),
+    "idle_qubit_check": (float, lambda q, out: idle_qubit_check(out, q)),
+    "purity_xi_simulated": (float, lambda q, out: purity_xi_simulated(out)),
+}
+_Q_BATCH_OF_ONE = BlochQubit(np.array([1.0]), np.array([2.0]))
+_OUT_BATCH_OF_ONE = uqcm_map(_Q_BATCH_OF_ONE)
+
+
+@pytest.mark.parametrize("name", SCALAR_RESULTS)
+def test_one_input_gives_a_python_number_and_a_batch_of_one_an_array(name):
+    """The scalar contract of every functional: a single input gives a
+    Python float (a bool for a verdict), and the same input as a batch of
+    one gives an array of shape (1,) holding that value."""
+    kind, fn = SCALAR_RESULTS[name]
+    one, batch = fn(_Q, _OUT), fn(_Q_BATCH_OF_ONE, _OUT_BATCH_OF_ONE)
+    assert type(one) is kind
+    assert type(batch) is np.ndarray and batch.shape == (1,)
+    assert batch[0] == one
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -40,6 +40,8 @@ CASES = (
     "clone register-nonlocal --alpha2 1.0",
     "sweep register-negativity --alpha2 0:1:101 --method local",
     "sweep register-negativity --alpha2 0:1:101 --method nonlocal",
+    "sweep mdim-scaling --m 2:64",
+    "sweep gm-fidelity --n 1:8",
     "reproduce",
 )
 

@@ -50,3 +50,25 @@ def test_verdict_and_summary_changes_are_flagged(write):
         "criterion 10: local inseparability onset (alpha^2): verdict pass -> FAIL",
         "summary: 'all 12 criteria passed (87 checks)' -> 'NOT all 12 criteria passed (87 checks)'",
     ]
+
+
+TRACEBACK = """Traceback (most recent call last):
+  File "<stdin>", line 1, in <module>
+ValueError: operator has a negative eigenvalue: -0.5
+"""
+
+
+@pytest.mark.parametrize("old_text, new_text, named", [
+    ("", "", "old.txt"),
+    (TRACEBACK, TRACEBACK, "old.txt"),
+    (TABLE, "", "new.txt"),
+    (TABLE, TABLE.replace("all 12 criteria passed (87 checks)\n", ""), "new.txt"),
+], ids=["empty", "traceback", "table-against-empty", "no-summary"])
+def test_an_incomplete_table_is_a_usage_error(write, capsys, old_text, new_text, named):
+    """An empty file, a traceback, or a table cut before its summary line
+    vouches for nothing: the tool names the file and exits 2."""
+    code = diff_reproduce.main([write("old.txt", old_text), write("new.txt", new_text)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert named in err and "not a complete reproduce table" in err

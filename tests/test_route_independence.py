@@ -2,8 +2,9 @@
 isometries never import each other or ``analysis``, and the closed forms in
 ``analysis`` use no name from either simulation route, directly or through
 another function of the module.  Only the modules that build states and
-operators skip their validation, and only ``linalg._size`` decides whether
-an integer argument is valid."""
+operators skip their validation, only ``linalg._size`` decides whether
+an integer argument is valid, and only ``linalg._unbatched`` decides what a
+single input's result is."""
 import ast
 from pathlib import Path
 
@@ -89,3 +90,32 @@ def test_only_size_check_calls_operator_index():
     size = next(f for f in parse("linalg").body if isinstance(f, ast.FunctionDef) and f.name == "_size")
     assert operator_index_uses(size) == 1
     assert {m: n for m, n in uses.items() if n} == {"linalg": 1}
+
+
+def is_ndim(node: ast.AST) -> bool:
+    """Whether ``node`` reads an array's rank: ``x.ndim`` or ``np.ndim(x)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return isinstance(node, ast.Attribute) and node.attr == "ndim"
+
+
+def rank_branches(root: ast.AST) -> list[int]:
+    """Line of each branch on an array's rank under ``root``: a conditional
+    expression whose test reads ``ndim``, or an ``if`` whose whole test is
+    an ``ndim`` read.  A shape check such as ``if amps.ndim != 2`` is no
+    such branch."""
+    return [
+        n.lineno for n in ast.walk(root)
+        if isinstance(n, ast.IfExp) and any(is_ndim(t) for t in ast.walk(n.test))
+        or isinstance(n, ast.If) and is_ndim(n.test)
+    ]
+
+
+def test_only_unbatched_branches_on_rank():
+    """A functional returns its batch as it is and a single input's value as
+    a Python float or bool, and ``linalg._unbatched`` is the one place that
+    chooses between them."""
+    unbatched = next(f for f in parse("linalg").body if isinstance(f, ast.FunctionDef) and f.name == "_unbatched")
+    assert len(rank_branches(unbatched)) == 1
+    branches = {path.stem: rank_branches(parse(path.stem)) for path in PACKAGE.glob("*.py")}
+    assert {m: lines for m, lines in branches.items() if lines} == {"linalg": [unbatched.body[-1].lineno]}

@@ -9,7 +9,10 @@ A row is keyed by its criterion and label.  For every row whose ``got`` or
 and |Δ|/tol, where Δ is the change of |d| (``inf`` for a row of tol 0).
 Rows whose verdict or ``ref`` changed, or that only one table has, are
 listed as well, as is a changed summary line.  Exits 1 if any of those
-appear, so an unchanged ``reproduce`` outcome reads exit 0.
+appear, so an unchanged ``reproduce`` outcome reads exit 0.  A file with no
+row, or whose last line is not ``[NOT ]all N criteria passed (M checks)``,
+is no complete table (an empty file, a crash's traceback): the tool names
+it on stderr and exits 2.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ import re
 import sys
 
 CRITERION = re.compile(r"criterion (\d+): ")
+SUMMARY = re.compile(r"(NOT )?all \d+ criteria passed \(\d+ checks\)")
 ROW = re.compile(
     r"\s*\[(?P<verdict>\w+)\] (?P<label>.*?)\s+ref=\s*(?P<ref>\S+)\s+got=\s*(?P<got>\S+)"
     r"\s+\|d\|=(?P<d>\S+)\s+tol=(?P<tol>\S+)\s*$"
@@ -24,7 +28,9 @@ ROW = re.compile(
 
 
 def parse(path: str) -> tuple[dict[tuple[int, str], dict[str, str]], str]:
-    """The rows of one table by (criterion, label), and its last line."""
+    """The rows of one table by (criterion, label), and its summary line.
+    ValueError, naming the file, if it has no row or does not end with a
+    summary line."""
     rows, criterion, last = {}, 0, ""
     with open(path, encoding="utf-8") as f:
         for line in f:
@@ -32,8 +38,9 @@ def parse(path: str) -> tuple[dict[tuple[int, str], dict[str, str]], str]:
                 criterion = int(m.group(1))
             elif m := ROW.match(line):
                 rows[criterion, m.group("label")] = m.groupdict()
-            elif line.strip():
-                last = line.strip()
+            last = line.strip() or last
+    if not rows or not SUMMARY.fullmatch(last):
+        raise ValueError(f"{path}: not a complete reproduce table (no row, or no closing summary line)")
     return rows, last
 
 
@@ -70,7 +77,11 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    lines, changed = diff(*argv)
+    try:
+        lines, changed = diff(*argv)
+    except ValueError as exc:
+        print(f"diff_reproduce: {exc}", file=sys.stderr)
+        return 2
     print("\n".join(lines) if lines else "no row moved")
     return 1 if changed else 0
 
