@@ -25,7 +25,6 @@ from .linalg import (
     SubsystemLayout,
     TOL_SPECTRAL,
     _freeze,
-    _inner,
     _size,
     _unbatched,
     hermitian_eigenvalues,
@@ -59,10 +58,10 @@ def extract_scaling_factor(rho_out: DensityOperator, rho_id: DensityOperator) ->
     target = rho_out.mat - eye
     # Re Tr(a^dagger b) of each pair as the inner product of flattened matrices
     flat_dir = direction.reshape(direction.shape[:-2] + (-1,))
-    denom = _inner(flat_dir, flat_dir).real
+    denom = np.vecdot(flat_dir, flat_dir).real
     if (denom < 1e-30).any():
         raise ValueError("ideal state is maximally mixed; scaling factor is undefined")
-    s = _inner(flat_dir, target.reshape(target.shape[:-2] + (-1,))).real / denom
+    s = np.vecdot(flat_dir, target.reshape(target.shape[:-2] + (-1,))).real / denom
     residual = np.abs(target - s[..., None, None] * direction).max(axis=(-2, -1))
     return ScalingFit(s=_unbatched(s), residual=_unbatched(residual))
 

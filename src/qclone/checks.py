@@ -27,7 +27,6 @@ from .linalg import (
     StateVector,
     SubsystemLayout,
     _BATCH_AMPS,
-    _inner,
     bures_distance,
     outer,
     pure_fidelity,
@@ -148,7 +147,7 @@ def criterion_network_equals_map() -> CriterionResult:
         q = random_bloch(100 + n, count=20)
         net = clone_via_network(q, n).amps
         direct = gisin_massar_map(q, n).joint.amps
-        rows.append(CheckRow(f"min overlap |<network|map>|, n={n}", 1.0, np.abs(_inner(net, direct)), 1e-10))
+        rows.append(CheckRow(f"min overlap |<network|map>|, n={n}", 1.0, np.abs(np.vecdot(net, direct)), 1e-10))
     return CriterionResult(3, "network output equals direct cloning map", tuple(rows))
 
 

@@ -8,9 +8,11 @@ the most significant index (row-major Kronecker ordering).
 All spectral quantities come from LAPACK: a spectrum alone through
 ``numpy.linalg.eigvalsh``, and a matrix square root, which needs the
 eigenvectors too, through ``numpy.linalg.eigh``.
-A qubit marginal of a pure state is one ``numpy.vecdot`` call (BLAS
-``zdotc`` per entry and state, numpy >= 2.0); a wider marginal is a blocked
-matrix product.
+Every inner product is ``numpy.vecdot`` (numpy >= 2.0), which conjugates
+its first argument without copying it: norms, fidelities, purities and
+overlaps.  A qubit marginal of a pure state is one ``numpy.vecdot`` call
+(BLAS ``zdotc`` per entry and state); a wider marginal is a blocked matrix
+product.
 """
 from __future__ import annotations
 
@@ -85,12 +87,6 @@ def _unbatched(x: np.ndarray):
     return x if x.ndim else x.item()
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a|b> of each pair of last-axis vectors in two broadcast stacks, as
-    one row-times-column product per pair (the sum ``np.vdot`` takes)."""
-    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _size(value, rule: str, least: int, most: float = math.inf) -> int:
     """``value`` as an int in [least, most], or ValueError("<rule>, got
     <value!r>").  The one check of every size, count, wire and subsystem
@@ -147,10 +143,11 @@ class StateVector:
                 raise ValueError(f"amplitude count {amps.size} does not match layout dimension {d}")
         elif amps.shape[0] == 0:
             raise ValueError("a batch needs at least one state")
-        # squared norms as one real dot product per state: no conjugate copy
-        # of a wide joint state
-        re = amps.view(np.float64)[..., None, :]
-        norm2 = (re @ re.swapaxes(-1, -2))[..., 0, 0]
+        # squared norms as one real dot product per state, on the float64
+        # view: no conjugate copy of a wide joint state, and an inf amplitude
+        # gives inf where a complex product would form inf - inf
+        re = amps.view(np.float64)
+        norm2 = np.vecdot(re, re)
         if not abs(norm2 - 1.0).max() <= TOL_CONSTRUCT:
             _check_finite(amps, "amplitudes")
             raise ValueError(f"state is not normalized: |amps|^2 = {_worst(norm2, 1.0)!r}")
@@ -296,14 +293,11 @@ def reduced_density(psi: StateVector, keep: Sequence[int]) -> DensityOperator:
     # per state; whole states are grouped up to one product block
     cstep = min(cols, max(1, _MARGINAL_BLOCK // dkeep))
     kstep = max(1, _MARGINAL_BLOCK // (dkeep * cstep))
-    red = np.empty((batch, dkeep, dkeep), dtype=np.complex128)
+    red = np.zeros((batch, dkeep, dkeep), dtype=np.complex128)
     for k in range(0, batch, kstep):
-        b = a[k:k + kstep, :, :cstep]
-        out = red[k:k + kstep]
-        out[...] = b @ b.conj().swapaxes(-1, -2)
-        for j in range(cstep, cols, cstep):
+        for j in range(0, cols, cstep):
             b = a[k:k + kstep, :, j:j + cstep]
-            out += b @ b.conj().swapaxes(-1, -2)
+            red[k:k + kstep] += b @ b.conj().swapaxes(-1, -2)
     return _trusted(DensityOperator, layout=layout, mat=red.reshape(lead + (dkeep, dkeep)))
 
 
@@ -347,7 +341,7 @@ def purity(rho):
     what :func:`hermitian_eigenvalues` accepts."""
     mat = _hermitian(rho).mat
     flat = mat.reshape(mat.shape[:-2] + (-1,))
-    return _unbatched(_inner(flat, flat).real)
+    return _unbatched(np.vecdot(flat, flat).real)
 
 
 def pure_fidelity(psi: StateVector, rho: DensityOperator):
@@ -357,7 +351,8 @@ def pure_fidelity(psi: StateVector, rho: DensityOperator):
     operators, or of both, the array of the elementwise fidelities (a single
     state or operator pairs with every element of the other batch).
     """
-    return _unbatched(_inner(psi.amps, (rho.mat @ psi.amps[..., :, None])[..., 0]).real)
+    # rho|psi> as a matrix product: np.matvec would need numpy >= 2.2
+    return _unbatched(np.vecdot(psi.amps, (rho.mat @ psi.amps[..., :, None])[..., 0]).real)
 
 
 def _clipped_sqrt(w: np.ndarray) -> np.ndarray:

@@ -4,11 +4,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 
 import numpy as np
 
-from .linalg import StateVector, SubsystemLayout, _freeze, _inner, _size, _trusted
+from .linalg import StateVector, SubsystemLayout, _freeze, _size, _trusted
 
 #: Largest n of the 1 -> n+1 qubit cloners, read by both routes and the CLI:
 #: n + 1 clones and an n-qubit copier hold 2**(2n + 1) amplitudes.
@@ -93,15 +92,11 @@ def register_ket(alpha) -> StateVector:
 
 @lru_cache(maxsize=None)
 def _symmetric_amps(n: int, k: int) -> np.ndarray:
-    """Equal-weight superposition of all n-bit basis states with k ones."""
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amp = 1.0 / math.sqrt(math.comb(n, k))
-    for ones in combinations(range(n), k):
-        idx = 0
-        for pos in ones:
-            idx |= 1 << (n - 1 - pos)  # first qubit most significant
-        amps[idx] = amp
-    return _freeze(amps)
+    """Equal-weight superposition of all n-bit basis states with k ones.
+    Basis index i has qubit j (first qubit most significant) at bit n-1-j,
+    so its weight is the popcount of i."""
+    ones = np.bitwise_count(np.arange(2**n)) == k
+    return _freeze(np.where(ones, 1.0 / math.sqrt(math.comb(n, k)), 0.0).astype(np.complex128))
 
 
 def symmetric_basis_ket(n: int, k: int) -> StateVector:
@@ -145,7 +140,7 @@ def haar_random_ket(dim: int, seed, count: int | None = None) -> StateVector:
     g = np.random.default_rng(seed).standard_normal((k, 2, dim))
     z = g[:, 0] + 1j * g[:, 1]  # per ket: dim real parts, then dim imaginary parts
     # the sum np.linalg.norm takes for one vector, so no row depends on the batch
-    norm = np.sqrt(_inner(z.real, z.real) + _inner(z.imag, z.imag))
+    norm = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
     amps = z / norm[:, None]
     return _trusted(StateVector, layout=SubsystemLayout((dim,)), amps=amps[0] if count is None else amps)
 

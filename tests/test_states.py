@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -118,6 +119,15 @@ class TestSymmetricBasis:
         for idx in np.flatnonzero(np.abs(psi.amps) > 0):
             assert bin(idx).count("1") == 2
 
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 10) for k in range(n + 1)])
+    def test_amplitudes_bit_for_bit(self, n, k):
+        """|n; k> is 1/sqrt(C(n, k)) on each choice of k excited qubits, the
+        first qubit most significant, and exactly 0 elsewhere."""
+        want = np.zeros(2**n)
+        for ones in itertools.combinations(range(n), k):
+            want[sum(1 << (n - 1 - q) for q in ones)] = 1.0 / math.sqrt(math.comb(n, k))
+        assert np.array_equal(symmetric_basis_ket(n, k).amps, want)
+
 
 class TestPrepState:
     def test_explicit_single_copy(self):
@@ -212,3 +222,14 @@ def test_batched_haar_random_ket_is_the_streamed_draws():
             z = ref.standard_normal(m) + 1j * ref.standard_normal(m)
             np.testing.assert_array_equal(batch.amps[k], haar_random_ket(m, rng).amps)
             np.testing.assert_array_equal(batch.amps[k], z / np.linalg.norm(z))
+
+
+@pytest.mark.parametrize("m", [2, 3, 16, 64])
+def test_haar_rows_are_normalized_as_linalg_norm(m):
+    """Each row is its Gaussian draw over np.linalg.norm of it, bit for bit:
+    the norm is the sum np.linalg.norm takes for one vector."""
+    batch = haar_random_ket(m, 61, count=5)
+    ref = np.random.default_rng(61)
+    for row in batch.amps:
+        z = ref.standard_normal(m) + 1j * ref.standard_normal(m)
+        np.testing.assert_array_equal(row, z / np.linalg.norm(z))
