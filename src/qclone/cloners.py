@@ -4,6 +4,11 @@ Each cloner is written as an explicit linear map on amplitudes, independent
 of the gate network, so the two construction routes can be compared against
 each other and against the closed-form expressions in ``analysis``.
 
+Two families build every direct-map cloner: ``gisin_massar_map``, the
+1-to-(n+1) qubit machine whose n = 1 member is ``uqcm_map``, and
+``mdim_clone``, the 1-to-2 machine in m dimensions, whose basis images
+also make up both register cloners.
+
 Images are rows: a dense cloner is the input amplitudes times a cached
 table whose row i is the joint image of basis state |i>, so a (K, d) batch
 of inputs gives the (K, D) batch of joint outputs in one product.  Only
@@ -73,35 +78,6 @@ class CloneOutput:
         return reduced_density(self.joint, list(range(self.clone_count, k)))
 
 
-@lru_cache(maxsize=None)
-def _uqcm_columns() -> np.ndarray:
-    # rows: images of |0> and |1> on (a_0, a_1, x); the copier basis states
-    # map onto |0> and |1> of the x wire
-    iso = np.zeros((2, 8), dtype=np.complex128)
-    iso[0, 0b000] = math.sqrt(2.0 / 3.0)
-    iso[0, 0b101] = math.sqrt(1.0 / 6.0)
-    iso[0, 0b011] = math.sqrt(1.0 / 6.0)
-    iso[1, 0b111] = math.sqrt(2.0 / 3.0)
-    iso[1, 0b100] = math.sqrt(1.0 / 6.0)
-    iso[1, 0b010] = math.sqrt(1.0 / 6.0)
-    return _freeze(iso)
-
-
-_UQCM_LAYOUT = SubsystemLayout((2, 2, 2))
-
-
-def uqcm_map(q: BlochQubit) -> CloneOutput:
-    """Symmetric 1-to-2 qubit cloner as a direct isometry on (a_0, a_1, x).
-
-    |0> goes to sqrt(2/3)|00>|0> + sqrt(1/3)|+>|1> and |1> to
-    sqrt(2/3)|11>|1> + sqrt(1/3)|+>|0>, with |+> = (|01>+|10>)/sqrt(2);
-    general inputs extend linearly, and a batched ``q`` gives the batch of
-    joint outputs.
-    """
-    joint = _trusted(StateVector, layout=_UQCM_LAYOUT, amps=bloch_ket(q).amps @ _uqcm_columns())
-    return CloneOutput(joint=joint, clone_count=2)
-
-
 # cached: a fresh layout on every call raised perfbench's ensemble peak RSS
 @lru_cache(maxsize=None)
 def _gm_layout(n: int) -> SubsystemLayout:
@@ -135,6 +111,18 @@ def gisin_massar_map(q: BlochQubit, n: int) -> CloneOutput:
     n = _size(n, _CLONE_COUNT_RULE, 1, MAX_CLONE_COUNT)
     joint = _trusted(StateVector, layout=_gm_layout(n), amps=bloch_ket(q).amps @ _gm_columns(n))
     return CloneOutput(joint=joint, clone_count=n + 1)
+
+
+def uqcm_map(q: BlochQubit) -> CloneOutput:
+    """Symmetric 1-to-2 qubit cloner as a direct isometry on (a_0, a_1, x).
+
+    |0> goes to sqrt(2/3)|00>|0> + sqrt(1/3)|+>|1> and |1> to
+    sqrt(2/3)|11>|1> + sqrt(1/3)|+>|0>, with |+> = (|01>+|10>)/sqrt(2);
+    general inputs extend linearly, and a batched ``q`` gives the batch of
+    joint outputs.  This is ``gisin_massar_map`` at n = 1, its copier the
+    single qubit x.
+    """
+    return gisin_massar_map(q, 1)
 
 
 #: Largest dimension m of the M-dimensional cloner, read by the CLI too: its

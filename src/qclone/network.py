@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class GateOp:
         if self.kind not in (ROTATION, CNOT):
             raise ValueError(f"unknown gate kind {self.kind!r}")
         wires = tuple([_size(w, "wires must be integers >= 0", 0) for w in self.wires])
-        if self.kind == ROTATION and (len(wires) != 1 or self.theta is None or not math.isfinite(self.theta)):
+        if self.kind == ROTATION and (len(wires) != 1 or not isinstance(self.theta, Real) or not math.isfinite(self.theta)):
             raise ValueError(f"rotation takes one wire and a finite angle, got {self.theta!r}")
         if self.kind == CNOT:
             if len(wires) != 2 or self.theta is not None:
@@ -54,10 +55,12 @@ class GateOp:
             if wires[0] == wires[1]:
                 raise ValueError("cnot control and target must differ")
         object.__setattr__(self, "wires", wires)
+        # a numpy float would print as np.float64(...) in the circuit text
+        object.__setattr__(self, "theta", None if self.theta is None else float(self.theta))
 
 
 def rotation(wire: int, theta: float) -> GateOp:
-    return GateOp(ROTATION, (wire,), float(theta))
+    return GateOp(ROTATION, (wire,), theta)
 
 
 def cnot(control: int, target: int) -> GateOp:

@@ -1,8 +1,12 @@
 """Golden CLI outputs: every case must print the recorded text, with the
 non-numeric text equal and every number within 1e-12.
 
-Regenerate ``data/cli_golden.json`` (only when an output change is
-intended) with ``PYTHONPATH=src python tests/test_cli_golden.py``.
+Re-record ``data/cli_golden.json`` (only when an output change is
+intended) with ``PYTHONPATH=src python tests/test_cli_golden.py [CASE ...]``,
+each case quoted as one argument, for example ``"clone uqcm --seed 5"``.
+It runs every case and prints each one whose output differs from the file,
+then rewrites only the cases named, or all of them when none is named.  An
+unknown case name exits 2 and rewrites nothing.
 """
 import io
 import json
@@ -109,7 +113,38 @@ def test_sweep_slices_print_the_golden_rows(golden, case, monkeypatch):
     assert slices == [7] * 14 + [3]
 
 
-if __name__ == "__main__":
+def rerecord(names: list[str]) -> int:
+    """Print the cases whose output differs from the golden file, then
+    rewrite ``names`` there, or every case if ``names`` is empty."""
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        print(f"unknown case(s): {', '.join(map(repr, unknown))}", file=sys.stderr)
+        return 2
+    golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    outputs = {case: run_case(case) for case in CASES}
+    for case in CASES:
+        if outputs[case] != golden.get(case):
+            print(f"differs: {case}")
+    recorded = {**golden, **{case: outputs[case] for case in names}} if names else outputs
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({case: run_case(case) for case in CASES}, indent=1) + "\n")
-    sys.exit(0)
+    GOLDEN.write_text(json.dumps(recorded, indent=1) + "\n")
+    return 0
+
+
+def test_rerecord_prints_what_moved_and_rewrites_only_the_named_cases(golden, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden))
+    moved = CASES[:2]
+    monkeypatch.setitem(globals(), "GOLDEN", path)
+    monkeypatch.setitem(globals(), "run_case", lambda case: golden[case] + ("moved" if case in moved else ""))
+    assert rerecord(["no such case"]) == 2
+    assert json.loads(path.read_text()) == golden
+    assert rerecord([moved[0]]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"differs: {case}" for case in moved]
+    assert json.loads(path.read_text()) == {**golden, moved[0]: golden[moved[0]] + "moved"}
+    assert rerecord([]) == 0
+    assert json.loads(path.read_text()) == {case: golden[case] + ("moved" if case in moved else "") for case in CASES}
+
+
+if __name__ == "__main__":
+    sys.exit(rerecord(sys.argv[1:]))

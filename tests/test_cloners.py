@@ -53,10 +53,12 @@ class TestUqcm:
 
 class TestGisinMassar:
     def test_n1_equals_uqcm(self):
-        q = BlochQubit(0.4, 5.9)
-        np.testing.assert_allclose(
-            gisin_massar_map(q, 1).joint.amps, uqcm_map(q).joint.amps, atol=1e-15
-        )
+        """The 1-to-2 cloner is the n = 1 machine itself, bit for bit, for
+        one input and for a batch: the paper's coefficients written out as a
+        separate (2, 8) table round differently, in the last bits of every
+        row of this batch."""
+        for q in (BlochQubit(0.4, 5.9), random_bloch(1, count=20)):
+            assert np.array_equal(uqcm_map(q).joint.amps, gisin_massar_map(q, 1).joint.amps)
 
     def test_preserves_inner_products(self):
         """An isometry keeps the overlap of any two inputs; check on an

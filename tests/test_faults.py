@@ -238,22 +238,26 @@ def _purity_xi_high(monkeypatch):
     monkeypatch.setattr(analysis, "purity_xi", lambda n: real(n) * (1.0 + 1e-9))
 
 
-def _uqcm_image_of_one_tilted(monkeypatch):
-    """1-to-2 isometry with the |1> -> |111> weight scaled by 1 + 1e-9 and
-    the image of |1> renormalized, so the machine is no longer universal:
-    the Bures spread is 1.0139e-10 against a tolerance of 1e-10.  Scaled by
+def _uqcm_image_of_one_tilted(monkeypatch, eps=1e-9):
+    """1-to-2 isometry, the n = 1 columns of the 1-to-(n+1) cloner, with the
+    |1> -> |111> weight scaled by 1 + eps and the image of |1> renormalized,
+    so the machine is no longer universal: at eps = 1e-9 the Bures spread is
+    1.0139e-10 against a tolerance of 1e-10 (1.0473e-10 for the n=1 row),
+    and the n=1 rows of criteria 4, 5, 6 and 8 fail as well.  Scaled by
     1 + 1e-10 (spread 1.0139e-11), this criterion passes and only criterion
-    9's m=2 joint-state row catches it.  The module global is patched, so
-    the cached columns stay as they are."""
-    real = cloners._uqcm_columns
+    9's m=2 joint-state row catches it.  The module global is patched for
+    n = 1 only, so the cached columns stay as they are."""
+    real = cloners._gm_columns
 
-    def faulty():
-        iso = real().copy()
-        iso[1, 0b111] *= 1.0 + 1e-9
-        iso[1] /= np.linalg.norm(iso[1])
+    def faulty(n):
+        iso = real(n)
+        if n == 1:
+            iso = iso.copy()
+            iso[1, 0b111] *= 1.0 + eps
+            iso[1] /= np.linalg.norm(iso[1])
         return iso
 
-    monkeypatch.setattr(cloners, "_uqcm_columns", faulty)
+    monkeypatch.setattr(cloners, "_gm_columns", faulty)
 
 
 def _pure_fidelity_high(monkeypatch, eps=1e-9):
@@ -323,6 +327,13 @@ def test_pure_fidelity_fault_passes_a_decade_below(monkeypatch):
     at: one decade lower, criterion 9 passes."""
     _pure_fidelity_high(monkeypatch, eps=1e-10)
     assert _run(9).passed
+
+
+def test_gm1_isometry_fault_passes_a_decade_below(monkeypatch):
+    """The threshold of ``_uqcm_image_of_one_tilted`` is the decade it is
+    planted at: one decade lower, criterion 12 passes."""
+    _uqcm_image_of_one_tilted(monkeypatch, eps=1e-10)
+    assert _run(12).passed
 
 
 def test_network_output_fault_passes_two_decades_below(monkeypatch):

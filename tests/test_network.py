@@ -162,6 +162,21 @@ def test_float_width_or_wire_is_rejected_at_construction():
     assert circuit_from_text(text) == circ
 
 
+def test_numpy_angle_round_trips_and_a_string_angle_is_rejected():
+    """A numpy float angle is kept as a Python float, so the text holds its
+    repr and parses back; an angle that is not a real number is refused at
+    construction, through ``rotation`` too, as None and a non-finite angle
+    are."""
+    circ = Circuit(1, (GateOp(ROTATION, (0,), np.float64(0.5)), GateOp(ROTATION, (0,), np.float32(0.25))))
+    text = circuit_to_text(circ)
+    assert text.splitlines()[1:] == ["R 0 0.5", "R 0 0.25"]
+    assert circuit_from_text(text) == circ
+    for theta in ("0.5", None, math.inf, 1j):
+        for build in (lambda: GateOp(ROTATION, (0,), theta), lambda: rotation(0, theta)):
+            with pytest.raises(ValueError, match="finite angle"):
+                build()
+
+
 def test_circuit_text_rejects_garbage():
     with pytest.raises(ValueError):
         circuit_from_text("WIDTH 2\nH 0\n")
