@@ -324,19 +324,19 @@ def inseparability_boundary(method: str, resolution: float = 1e-8) -> Separabili
     sep, f = ppt_separable(register_clone(method, np.sqrt([0.5, 0.0, 1.0])))
     if (~sep).tolist() != [True, False, False]:
         raise ArithmeticError("unexpected separability pattern; cannot bracket")
-    # row k is search k (lower, upper): its f >= 0 end in column 0, its f < 0 end in column 1
-    ends, f_ends = np.array([[0.0, 0.5], [1.0, 0.5]]), f[[[1, 0], [2, 0]]]
-    rows, last = np.arange(2), np.full(2, -1)
-    while (abs(ends[:, 1] - ends[:, 0]) > resolution / 4.0).any():
-        (a, b), (fa, fb) = ends.T, f_ends.T
-        x = (a * fb - b * fa) / (fb - fa)
-        x = np.where((np.minimum(a, b) < x) & (x < np.maximum(a, b)), x, 0.5 * (a + b))
+    # search k (lower, upper), as Python floats: its f >= 0 end at index 0,
+    # its f < 0 end at index 1, and the index its last point replaced
+    ends, f_ends, last = [[0.0, 0.5], [1.0, 0.5]], f[[[1, 0], [2, 0]]].tolist(), [-1, -1]
+    while max(abs(b - a) for a, b in ends) > resolution / 4.0:
+        x = [(a * fb - b * fa) / (fb - fa) for (a, b), (fa, fb) in zip(ends, f_ends)]
+        x = [xk if min(a, b) < xk < max(a, b) else 0.5 * (a + b) for xk, (a, b) in zip(x, ends)]
         _, fx = ppt_separable(register_clone(method, np.sqrt(x)))
-        side = (fx < 0).astype(int)  # the end x replaces
-        # Illinois: an end kept twice in a row counts half its value
-        f_ends[rows, 1 - side] /= np.where(side == last, 2.0, 1.0)
-        ends[rows, side], f_ends[rows, side], last = x, fx, side
-    return SeparabilityInterval(*ends.mean(axis=1).tolist())
+        for k, fxk in enumerate(fx.tolist()):
+            side = int(fxk < 0)  # the end x replaces
+            if side == last[k]:  # Illinois: an end kept twice in a row counts half its value
+                f_ends[k][1 - side] /= 2.0
+            ends[k][side], f_ends[k][side], last[k] = x[k], fxk, side
+    return SeparabilityInterval(*[(a + b) / 2.0 for a, b in ends])
 
 
 #: Closed-form register pair coefficients by method, (w, m, D, c): diagonal

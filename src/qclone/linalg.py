@@ -10,9 +10,10 @@ All spectral quantities come from LAPACK: a spectrum alone through
 eigenvectors too, through ``numpy.linalg.eigh``.
 Every inner product is ``numpy.vecdot`` (numpy >= 2.0), which conjugates
 its first argument without copying it: norms, fidelities, purities and
-overlaps.  A qubit marginal of a pure state is one ``numpy.vecdot`` call
-(BLAS ``zdotc`` per entry and state); a wider marginal is a blocked matrix
-product.
+overlaps.  A qubit marginal of a pure state takes three conjugated dot
+products per state (BLAS ``zdotc``): its two norms and one overlap, whose
+conjugate fills the other off-diagonal entry; a wider marginal is a blocked
+matrix product.
 """
 from __future__ import annotations
 
@@ -283,9 +284,15 @@ def reduced_density(psi: StateVector, keep: Sequence[int]) -> DensityOperator:
     a = a.reshape((batch, dkeep, -1))
     layout = _trusted(SubsystemLayout, dims=tuple(dims[j] for j in keep))
     if dkeep == 2:
-        # a qubit: entry (i, j) is the conjugated dot product vecdot(a_j, a_i),
-        # one per entry and state, with no conjugated copy and no product
-        red = np.vecdot(a[:, None, :, :], a[:, :, None, :])
+        # a qubit: per state the two norms vecdot(a_i, a_i) on the diagonal and
+        # the overlap vecdot(a_0, a_1) at (1, 0), whose conjugate is (0, 1):
+        # three conjugated dot products, no conjugated copy and no product.
+        # Row k of red holds state k's entries in order, so [:, ::3] is the diagonal
+        red = np.empty((batch, 4), dtype=np.complex128)
+        lower = red[:, 2]
+        np.vecdot(a, a, out=red[:, ::3])
+        np.vecdot(a[:, 0], a[:, 1], out=lower)
+        np.conjugate(lower, out=red[:, 1])
         return _trusted(DensityOperator, layout=layout, mat=red.reshape(lead + (2, 2)))
     cols = a.shape[-1]
     # each state sums the same column blocks in the same order at any batch

@@ -38,3 +38,36 @@ def test_one_round_times_faults_and_checks():
 
 def test_a_clean_round_reports_no_problem():
     assert ab_rounds.one_round([Stub("right", lambda: 3, 3)])["problems"] == []
+
+
+# paired round times in seconds: the parent's quartiles are 10 and 12 ms
+PARENT = [0.010, 0.011, 0.012, 0.010, 0.011, 0.012, 0.010, 0.011, 0.012, 0.011]
+
+
+def test_claim_holds_on_nine_wins_and_a_gap_past_the_spread():
+    change = [t - 0.003 for t in PARENT[:9]] + [PARENT[9] + 0.001]
+    holds, line = ab_rounds.claim_verdict(PARENT, change)
+    assert holds
+    assert line == (
+        "claim holds: change won 9 of 10 pairs (needs 9), "
+        "median gap 3.000 ms against parent quartile spread 2.000 ms"
+    )
+
+
+def test_claim_misses_on_wins():
+    """Eight wins of ten, although the median falls by 3 ms."""
+    change = [t - 0.003 for t in PARENT[:8]] + [t + 0.001 for t in PARENT[8:]]
+    holds, line = ab_rounds.claim_verdict(PARENT, change)
+    assert not holds
+    assert line.startswith("claim not met: change won 8 of 10 pairs (needs 9)")
+
+
+def test_claim_misses_on_spread():
+    """Ten wins of ten, but the median falls by 1 ms, inside the parent's
+    quartile spread of 2 ms."""
+    holds, line = ab_rounds.claim_verdict(PARENT, [t - 0.001 for t in PARENT])
+    assert not holds
+    assert line == (
+        "claim not met: change won 10 of 10 pairs (needs 9), "
+        "median gap 1.000 ms against parent quartile spread 2.000 ms"
+    )

@@ -525,6 +525,51 @@ def _recorded_search(monkeypatch, method, resolution):
 WINDOWS = {"local": LOCAL_WINDOW, "nonlocal": NONLOCAL_WINDOW}
 
 
+#: The (lower, upper) alpha^2 points of each step after the bracket call,
+#: as the search first evaluated them with its ends held in numpy arrays.
+#: A search at 1e-8 stops after a prefix of these.
+SEARCH_PATHS = {
+    "local": [
+        (0.12500000000000003, 0.875),
+        (0.09678648564717894, 0.903213514352821),
+        (0.11033555723563535, 0.8896644427643646),
+        (0.10971531251060411, 0.8902846874893958),
+        (0.10966241353233969, 0.8903375864676604),
+        (0.10968762738927548, 0.8903123726107246),
+        (0.10968762510028936, 0.8903123748997106),
+        (0.10968762509991088, 0.8903123749000892),
+        (0.10968762510010006, 0.8903123748999),
+    ],
+    "nonlocal": [
+        (0.16666666666666666, 0.8333333333333334),
+        (0.07453559924999299, 0.9254644007500069),
+        (0.03464055172808773, 0.9653594482719124),
+        (0.024942362089482716, 0.9750576379105171),
+        (0.028803591646783436, 0.9711964083532164),
+        (0.028602936230477695, 0.9713970637695223),
+        (0.02858858556614456, 0.9714114144338555),
+        (0.028595479699685348, 0.9714045203003147),
+        (0.028595479209000626, 0.9714045207909993),
+        (0.028595479208935987, 0.971404520791064),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "method, resolution, calls",
+    [("local", 1e-8, 9), ("local", 1e-12, 10), ("nonlocal", 1e-8, 11), ("nonlocal", 1e-12, 11)],
+)
+def test_search_path_is_pinned(monkeypatch, method, resolution, calls):
+    """The search makes the same register_clone calls at the same points,
+    each within 1e-15 (alpha^2 is read back as the square of the alpha
+    evaluated)."""
+    _, got = _recorded_search(monkeypatch, method, resolution)
+    assert len(got) == calls
+    np.testing.assert_allclose(got[0][0], [0.5, 0.0, 1.0], rtol=0, atol=1e-15)
+    points = [alpha2 for alpha2, _ in got[1:]]
+    np.testing.assert_allclose(points, SEARCH_PATHS[method][: calls - 1], rtol=0, atol=1e-15)
+
+
 class TestIllinoisSearch:
     @pytest.mark.parametrize("method", ["local", "nonlocal"])
     @pytest.mark.parametrize("resolution", [1e-8, 1e-15])

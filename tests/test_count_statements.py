@@ -1,5 +1,8 @@
 """``tools/count_statements.py``, the size measure of the package."""
 import importlib.util
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "count_statements.py"
@@ -63,3 +66,22 @@ def test_package_total_is_the_sum_of_its_modules(capsys):
     assert total[0] == "total"
     assert len(modules) >= 9
     assert int(total[1]) == sum(int(n) for _, n in modules)
+
+
+def test_stops_quietly_when_the_reader_goes_away(tmp_path):
+    """A reader that closes the pipe after one line (``| head -1``) ends the
+    tool by SIGPIPE, with no traceback.  The 1,500 lines
+    (over 300 kB) overfill the pipe, so the tool is still writing when the
+    reader goes away."""
+    for i in range(1500):
+        (tmp_path / f"{'m' * 200}{i:04d}.py").write_text("x = 1\n")
+    proc = subprocess.Popen(
+        [sys.executable, str(TOOL), str(tmp_path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""
+    assert first.split() == [b"m" * 200 + b"0000", b"1"]

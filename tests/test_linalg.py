@@ -178,6 +178,41 @@ def test_qubit_marginal_is_hermitian(n):
         np.testing.assert_allclose(np.trace(mat, axis1=-2, axis2=-1), 1.0, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_qubit_marginal_construction(n, count):
+    """On every wire, the last one included (the transpose leaves its rows
+    strided), entry (0, 1) is the conjugate of entry (1, 0) bit for bit, and
+    each element of a batch is its scalar call bit for bit."""
+    psi = random_states((2,) * n, count, 200 + n)
+    for w in range(n):
+        mat = reduced_density(psi, [w]).mat
+        assert mat[:, 0, 1].tobytes() == mat[:, 1, 0].conj().tobytes()
+        for k in range(count):
+            one = reduced_density(StateVector(psi.layout, psi.amps[k]), [w]).mat
+            assert mat[k].tobytes() == one.tobytes()
+
+
+def test_qubit_marginal_reduces_three_rows_of_products(monkeypatch):
+    """A qubit marginal of K states, each split into two rows of L
+    amplitudes, reduces 3 K L products: two norms and one overlap per state.
+    The fourth entry is the overlap's conjugate, not a fourth product."""
+    count, n = 5, 7
+    psi = random_states((2,) * n, count, 17)
+    products = []
+    real = np.vecdot
+
+    def counting(x1, x2, /, **kwargs):
+        products.append(math.prod(np.broadcast_shapes(np.shape(x1), np.shape(x2))))
+        return real(x1, x2, **kwargs)
+
+    monkeypatch.setattr(np, "vecdot", counting)
+    for w in (0, n - 1):
+        products.clear()
+        reduced_density(psi, [w])
+        assert sum(products) == 3 * count * 2 ** (n - 1)
+
+
 def test_reduced_density_keep_order_is_significant():
     rng = np.random.default_rng(7)
     amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)

@@ -13,7 +13,10 @@ as in ``run.py``, its outputs are checked outside the timed region, and a
 failed or wrong operation stops the comparison.
 
 Prints each side's median round time with its quartiles, and its wins: the
-pairs in which its round was the faster one (ties count for neither).  For
+pairs in which its round was the faster one (ties count for neither).  A
+last line says whether the rounds show a gain for the change: it won at
+least nine tenths of the pairs, and its median lies below the parent's by
+more than the parent's quartile spread.  For
 memory, each side also prints the median of its rounds' minor page faults
 (``ru_minflt`` read just before and just after the timed region) and its
 worker's peak resident set (``ru_maxrss``, in MB of 1024 KiB as ``run.py``
@@ -27,6 +30,7 @@ import argparse
 import json
 import os
 import resource
+import signal
 import statistics
 import subprocess
 import sys
@@ -120,6 +124,24 @@ def summary(times: list[float]) -> tuple[float, float, float]:
     return statistics.median(times), q1, q3
 
 
+def claim_verdict(parent: list[float], change: list[float]) -> tuple[bool, str]:
+    """Whether paired round times (parent[i] against change[i], in seconds)
+    show a gain, and the line that says so.  A gain needs both: the change
+    won at least nine tenths of the pairs, ties counting for neither, and
+    its median lies below the parent's by more than the distance between
+    the parent's quartiles."""
+    pairs = len(parent)
+    wins = sum(c < p for p, c in zip(parent, change))
+    need = -(-9 * pairs // 10)
+    (pm, pq1, pq3), (cm, _, _) = summary(parent), summary(change)
+    gap, spread = pm - cm, pq3 - pq1
+    holds = wins >= need and gap > spread
+    return holds, (
+        f"claim {'holds' if holds else 'not met'}: change won {wins} of {pairs} pairs (needs {need}), "
+        f"median gap {gap * 1e3:.3f} ms against parent quartile spread {spread * 1e3:.3f} ms"
+    )
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--worker"]:
@@ -147,6 +169,9 @@ def main(argv=None) -> int:
         for w in workers.values():
             w.close()
 
+    # the workers' pipes are closed: from here a reader that goes away early
+    # (``| head``) ends the tool quietly instead of with a BrokenPipeError
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     times = {side: [r["s"] for r in rounds[side]] for side in sides}
 
     wins = {
@@ -164,6 +189,7 @@ def main(argv=None) -> int:
         )
     (pm, pq1, pq3), (cm, _, _) = summary(times["parent"]), summary(times["change"])
     print(f"median change {100.0 * (cm / pm - 1.0):+.1f} %; parent quartile spread {(pq3 - pq1) * 1e3:.3f} ms")
+    print(claim_verdict(times["parent"], times["change"])[1])
     return 0
 
 

@@ -8,6 +8,7 @@ and ROADMAP.md.
 Usage: python tools/count_statements.py [PACKAGE_DIR]   (default src/qclone)
 """
 import ast
+import signal
 import sys
 from pathlib import Path
 
@@ -41,4 +42,7 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
+    # a reader that goes away early (``| head``) ends the tool quietly, as
+    # it ends any Unix filter, instead of a BrokenPipeError traceback
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main(sys.argv[1:]))
