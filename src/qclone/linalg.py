@@ -30,8 +30,13 @@ TOL_CONSTRUCT = 1e-12
 TOL_SPECTRAL = 1e-10
 
 #: Most amplitudes ``reduced_density`` multiplies in one product when it keeps
-#: more than a qubit; it bounds the temporaries (a conjugated copy of each
-#: block) that wide joint states would otherwise allocate.  A qubit marginal
+#: more than a qubit and at most 128 levels; it bounds the temporaries (a
+#: conjugated copy of each block) that wide joint states would otherwise
+#: allocate.  Past 128 kept levels a block takes as many columns as there are
+#: kept levels: each block's product is a full dkeep x dkeep matrix however few
+#: its columns, so narrower blocks would only sum more of them, and a block's
+#: input is then never larger than its product.  Either way the peak is at most
+#: twice the result, the zeroed accumulator plus one product.  A qubit marginal
 #: makes no temporary and needs no block.
 _MARGINAL_BLOCK = 2**14
 
@@ -298,7 +303,7 @@ def reduced_density(psi: StateVector, keep: Sequence[int]) -> DensityOperator:
     # each state sums the same column blocks in the same order at any batch
     # size, so a batch equals its scalar calls bit for bit and costs the same
     # per state; whole states are grouped up to one product block
-    cstep = min(cols, max(1, _MARGINAL_BLOCK // dkeep))
+    cstep = min(cols, max(dkeep, _MARGINAL_BLOCK // dkeep))
     kstep = max(1, _MARGINAL_BLOCK // (dkeep * cstep))
     red = np.zeros((batch, dkeep, dkeep), dtype=np.complex128)
     for k in range(0, batch, kstep):

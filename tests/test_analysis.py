@@ -101,7 +101,8 @@ class TestScalingExtraction:
     def test_rejects_shape_mismatch(self):
         a = DensityOperator(SubsystemLayout((2,)), np.eye(2) / 2)
         b = DensityOperator(SubsystemLayout((4,)), np.eye(4) / 4)
-        with pytest.raises(ValueError):
+        # the library's message: without its check numpy raises a broadcast error
+        with pytest.raises(ValueError, match="mismatched dimensions"):
             extract_scaling_factor(a, b)
 
 
@@ -139,6 +140,8 @@ SIZES = {
     "Circuit": lambda width: Circuit(width, ()),
     "CloneOutput": lambda count: CloneOutput(_OUT.joint, count).clone_count,
     "SubsystemLayout": lambda d: SubsystemLayout((2, d)),
+    # without its own size rule a float count such as 2.0 gives a value
+    "clone_pair_density_formula": lambda n: clone_pair_density_formula(n, _Q).mat,
 }
 COUNTS = {
     "haar_random_ket_count": lambda count: haar_random_ket(3, 0, count=count).amps,
@@ -308,7 +311,7 @@ class TestPptSeparable:
 
     def test_layout_guard(self):
         rho = DensityOperator(SubsystemLayout((4,)), np.eye(4) / 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"conclusive only for a \(2, 2\) layout"):
             ppt_separable(rho)
 
     def test_batch_equals_scalar_calls_at_the_threshold(self):
@@ -399,7 +402,7 @@ class TestIdleLaw:
 
     def test_rejects_non_qubit_copier(self):
         out = mdim_clone(haar_random_ket(3, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="qubit copier wires only"):
             idle_qubit_check(out, BlochQubit(1.0, 0.0))
 
 
@@ -506,6 +509,14 @@ class TestRegisterAnalysis:
         with pytest.raises(ValueError, match="resolution"):
             inseparability_boundary("local", resolution)
         assert calls == []
+
+    def test_refuses_a_pair_it_cannot_bracket(self, monkeypatch):
+        """A register cloner whose pair reads separable at alpha^2 = 0.5
+        leaves no bracket to search, and the search says so instead of
+        narrowing one that holds no root."""
+        monkeypatch.setattr(analysis, "register_clone", lambda method, alpha: register_pair_formula(method, 0.0 * alpha))
+        with pytest.raises(ArithmeticError, match="cannot bracket"):
+            inseparability_boundary("local")
 
 
 def _recorded_search(monkeypatch, method, resolution):

@@ -120,6 +120,28 @@ def test_command_errors_show_subcommand_usage(capsys, argv):
     assert first.startswith(f"usage: qclone {argv[0]} {argv[1]} ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sweep", "mdim-scaling", "--m", "2:x"), "--m expects LO:HI, got '2:x'"),
+        (("sweep", "register-negativity", "--alpha2", "0:x:5", "--method", "local"),
+         "--alpha2 expects numeric START:STOP:STEPS, got '0:x:5'"),
+        (("sweep", "register-negativity", "--alpha2", "0:1:1", "--method", "local"),
+         "--alpha2: need START < STOP and STEPS >= 2, got '0:1:1'"),
+        (("clone", "register-local", "--alpha2", "1.5"), "--alpha2 must lie in [0, 1], got 1.5"),
+        (("clone", "uqcm", "--output", MISSING), "qclone: error: cannot write --output"),
+    ],
+    ids=["non-integer-range", "non-numeric-grid", "one-step-grid", "alpha2-out-of-range", "unwritable-output"],
+)
+def test_usage_errors_name_their_cause(capsys, tmp_path, argv, message):
+    """The tool's own message, not the one a later step would raise (or no
+    error at all, for a one-step grid)."""
+    with pytest.raises(SystemExit) as err:
+        main([str(tmp_path / "missing" / "out") if a == MISSING else a for a in argv])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_format_env_is_ignored(capsys, monkeypatch):
     # only --format picks the format: an exported QCLONE_FORMAT, valid or
     # not, leaves the default table in place
@@ -245,7 +267,8 @@ def test_sweep_register_negativity(capsys):
 
 
 def test_dump_circuit_round_trips(capsys):
-    _, out = run(capsys, "dump-circuit", "prep1")
+    code, out = run(capsys, "dump-circuit", "prep1")
+    assert code == 0  # main() returns the exit status, as for every command
     assert circuit_from_text(out) == build_prep_circuit_1()
     _, out = run(capsys, "dump-circuit", "copy", "--n", "3")
     assert circuit_from_text(out) == build_copy_stage(3)

@@ -260,6 +260,50 @@ def _uqcm_image_of_one_tilted(monkeypatch, eps=1e-9):
     monkeypatch.setattr(cloners, "_gm_columns", faulty)
 
 
+def _gm3_image_of_one_tilted(monkeypatch, eps=1e-8):
+    """1-to-4 isometry with the last nonzero weight of its image of |1>
+    scaled by 1 + eps and that image renormalized, so the n = 3 machine is
+    no longer universal: at eps = 1e-8 the "Bures spread, n=3" row reads
+    8.04e-10 against a tolerance of 1e-10, and no other row of criterion 12
+    fails; at 1e-9 it reads 8.04e-11 and passes.  Each n row measures its
+    own machine: a row that measured the 1->2 cloner instead would pass.
+    The module global is patched for n = 3 only."""
+    real = cloners._gm_columns
+
+    def faulty(n):
+        iso = real(n)
+        if n == 3:
+            iso = iso.copy()
+            iso[1, np.flatnonzero(iso[1])[-1]] *= 1.0 + eps
+            iso[1] /= np.linalg.norm(iso[1])
+        return iso
+
+    monkeypatch.setattr(cloners, "_gm_columns", faulty)
+
+
+def _mdim3_c_of_zero_tilted(monkeypatch, eps=1e-8):
+    """Three-dimensional cloner with the c weight of |0> scaled by 1 + eps
+    and the image of |0> renormalized, so the m = 3 machine is no longer
+    universal: at eps = 1e-8 the "Bures spread, m=3" row reads 3.97e-10
+    against a tolerance of 1e-10, and no other row of criterion 12 fails;
+    at 1e-9 it reads 3.97e-11 and passes.  Each m row measures its own
+    machine: a row that repeated the last n row's spread would pass.  The
+    module global is patched for m = 3 only, so the cached scatter stays as
+    it is."""
+    real = cloners._mdim_scatter
+
+    def faulty(m):
+        layout, target, source, weight = real(m)
+        if m == 3:
+            weight = weight.copy()
+            weight[0] *= 1.0 + eps  # the c weight of |0>: |0>|0>|X_0>
+            zero = source == 0
+            weight[zero] /= np.linalg.norm(weight[zero])
+        return layout, target, source, weight
+
+    monkeypatch.setattr(cloners, "_mdim_scatter", faulty)
+
+
 def _pure_fidelity_high(monkeypatch, eps=1e-9):
     """<psi|rho|psi> scaled by 1 + eps inside ``qclone.linalg``, where every
     root fidelity and Bures distance against a pure ket reads it.  Criterion
@@ -281,6 +325,8 @@ FAULTS = [
     (_a1b1_reads_clone_pair, 7, ("PT spectrum vs frozen values (real inputs)",)),
     (_purity_xi_high, 8, tuple(f"copier purity, n={n}" for n in range(1, 7))),
     (_uqcm_image_of_one_tilted, 12, ("Bures spread, 1->2 cloner",)),
+    (_gm3_image_of_one_tilted, 12, ("Bures spread, n=3",)),
+    (_mdim3_c_of_zero_tilted, 12, ("Bures spread, m=3",)),
     (_ppt_flipped_above_local_onset, 10, ("local inseparability onset (alpha^2)",)),
     (_register_corner_off, 10, ("local pair density vs closed form (max dev)",)),
     (_local_register_coefficient_long, 10, LOCAL_BOUNDARY_ROWS),
@@ -333,6 +379,21 @@ def test_gm1_isometry_fault_passes_a_decade_below(monkeypatch):
     """The threshold of ``_uqcm_image_of_one_tilted`` is the decade it is
     planted at: one decade lower, criterion 12 passes."""
     _uqcm_image_of_one_tilted(monkeypatch, eps=1e-10)
+    assert _run(12).passed
+
+
+@pytest.mark.parametrize(
+    "fault,label",
+    [(_gm3_image_of_one_tilted, "Bures spread, n=3"), (_mdim3_c_of_zero_tilted, "Bures spread, m=3")],
+    ids=["gm3", "mdim3"],
+)
+def test_per_machine_spread_faults_fail_one_row_and_pass_a_decade_below(monkeypatch, fault, label):
+    """At its planted decade each per-machine fault fails its own row of
+    criterion 12 and no other; one decade lower, criterion 12 passes."""
+    with monkeypatch.context() as planted:
+        fault(planted)
+        assert [r.label for r in _run(12).rows if not r.ok] == [label]
+    fault(monkeypatch, eps=1e-9)
     assert _run(12).passed
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qclone.cloners import mdim_clone
 from qclone.linalg import (
     DensityOperator,
     HermitianMatrix,
@@ -21,7 +22,7 @@ from qclone.linalg import (
     tensor,
     von_neumann_entropy,
 )
-from qclone.states import symmetric_basis_ket
+from qclone.states import haar_random_ket, symmetric_basis_ket
 
 BELL = StateVector(SubsystemLayout((2, 2)), np.array([1, 0, 0, 1]) / math.sqrt(2))
 
@@ -61,6 +62,9 @@ class TestStateVector:
     def test_size_must_match_layout(self):
         with pytest.raises(ValueError):
             StateVector(SubsystemLayout((2, 2)), [1.0, 0.0])
+        # without its own check an empty batch fails inside numpy's max()
+        with pytest.raises(ValueError, match="at least one state"):
+            StateVector(SubsystemLayout((2,)), np.zeros((0, 2)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
@@ -72,9 +76,17 @@ class TestStateVector:
         assert psi.dim == 2
         with pytest.raises(ValueError):
             psi.amps[0] = 0.5
+        # amplitudes in the layout's tensor shape are one state, not a batch
+        assert StateVector(SubsystemLayout((2, 2)), np.full((2, 2), 0.5)).amps.shape == (4,)
 
 
 class TestDensityOperator:
+    def test_rejects_wrong_shape(self):
+        """A valid 3 x 3 density matrix on a qubit layout: only the shape
+        check refuses it."""
+        with pytest.raises(ValueError, match="does not match layout dimension 2"):
+            DensityOperator(SubsystemLayout((2,)), np.eye(3) / 3)
+
     def test_rejects_non_hermitian(self):
         mat = np.array([[0.5, 0.5], [0.0, 0.5]])
         with pytest.raises(ValueError):
@@ -105,6 +117,19 @@ class TestDensityOperator:
         rho = outer(psi)
         assert rho.dim == 4
         np.testing.assert_allclose(np.trace(rho.mat).real, 1.0, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda m: DensityOperator(SubsystemLayout((2,)), m), HermitianMatrix], ids=["DensityOperator", "HermitianMatrix"]
+)
+def test_operators_keep_a_frozen_complex_copy(build):
+    """A real input is copied to complex128 and frozen, so writing to the
+    input later leaves the operator as it was built."""
+    mat = np.eye(2) / 2
+    op = build(mat)
+    mat[0, 0] = 9.0
+    assert op.mat.dtype == np.complex128 and not op.mat.flags.writeable
+    assert op.mat[0, 0] == 0.5
 
 
 def test_tensor_states_and_operators():
@@ -213,6 +238,16 @@ def test_qubit_marginal_reduces_three_rows_of_products(monkeypatch):
         assert sum(products) == 3 * count * 2 ** (n - 1)
 
 
+def test_wide_pair_marginal_is_one_product():
+    """Past 128 kept levels a column block is as wide as the kept dimension,
+    since each block's product is a full square whatever the block's width:
+    the m = 32 clone pair (1,024 kept levels, 32 columns) is one product, bit
+    for bit, where 16-column blocks summed two full squares."""
+    out = mdim_clone(haar_random_ket(32, 3))
+    a = out.joint.amps.reshape(32 * 32, 32)
+    assert out.pair_marginal(0, 1).mat.tobytes() == (a @ a.conj().T).tobytes()
+
+
 def test_reduced_density_keep_order_is_significant():
     rng = np.random.default_rng(7)
     amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -254,7 +289,7 @@ def test_partial_trace_validates_subsystems():
     rho = outer(BELL)
     with pytest.raises(ValueError):
         partial_trace(rho, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate subsystem indices"):
         partial_trace(rho, [0, 0])
     with pytest.raises(ValueError):
         partial_trace(rho, [2])

@@ -67,6 +67,11 @@ def test_gate_validation():
         cnot(1, 1)
     with pytest.raises(ValueError):
         GateOp(kind=ROTATION, wires=(0, 1), theta=0.5)
+    with pytest.raises(ValueError, match="unknown gate kind 'swap'"):
+        GateOp(kind="swap", wires=(0, 1))
+    for wires, theta in (((0, 1, 2), None), ((0, 1), 0.5)):
+        with pytest.raises(ValueError, match="cnot takes exactly"):
+            GateOp(kind=CNOT, wires=wires, theta=theta)
     for theta in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite angle"):
             rotation(0, theta)
@@ -78,9 +83,9 @@ def test_gate_validation():
 
 def test_run_circuit_checks_layout():
     circ = Circuit(width=2, ops=(cnot(0, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match circuit width"):
         run_circuit(circ, ket(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match circuit width"):
         run_circuit(circ, StateVector(SubsystemLayout((4,)), [1, 0, 0, 0]))
 
 
@@ -160,6 +165,10 @@ def test_float_width_or_wire_is_rejected_at_construction():
     text = circuit_to_text(circ)
     assert text.splitlines()[:2] == ["WIDTH 2", "R 1 0.3"]
     assert circuit_from_text(text) == circ
+    # a list of ops is kept as a tuple, as the text parser builds it
+    circ = Circuit(np.int64(2), [cnot(0, 1)])
+    assert type(circ.width) is int and type(circ.ops) is tuple
+    assert circuit_from_text(circuit_to_text(circ)) == circ
 
 
 def test_numpy_angle_round_trips_and_a_string_angle_is_rejected():

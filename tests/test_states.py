@@ -26,6 +26,9 @@ class TestBlochQubit:
             BlochQubit(1.0, 2 * math.pi)
         with pytest.raises(ValueError):
             BlochQubit(1.0, -0.5)
+        # the message names a batch's first entry out of range
+        with pytest.raises(ValueError, match=r"phi must lie in \[0, 2\*pi\), got -0.5"):
+            BlochQubit(np.ones(3), np.array([0.1, -0.5, 7.0]))
 
     @pytest.mark.parametrize(
         "theta, phi",
@@ -41,10 +44,11 @@ class TestBlochQubit:
             BlochQubit(theta, phi)
 
     def test_batch_is_frozen_copy(self):
-        theta = np.array([0.5, 1.5])
-        q = BlochQubit(theta, np.zeros(2))
-        theta[0] = 9.0
+        theta, phi = np.array([0.5, 1.5]), np.array([0, 1])
+        q = BlochQubit(theta, phi)
+        theta[0] = phi[0] = 3
         assert q.theta[0] == 0.5 and not q.theta.flags.writeable
+        assert q.phi[0] == 0.0 and q.phi.dtype == np.float64 and not q.phi.flags.writeable
         kets = bloch_ket(q).amps
         # each ket's orthogonal partner conj(b)|0> - conj(a)|1>
         partners = StateVector(SubsystemLayout((2,)), np.stack([kets[:, 1].conj(), -kets[:, 0].conj()], axis=1))
@@ -88,6 +92,12 @@ def test_register_ket_is_normalized(alpha):
 def test_register_ket_rejects_bad_alpha(alpha):
     with pytest.raises(ValueError):
         register_ket(alpha)
+
+
+def test_register_ket_names_a_two_dimensional_alpha():
+    """Every entry lies in [0, 1], so only the shape check refuses it."""
+    with pytest.raises(ValueError, match="a number or a 1-D array, got shape"):
+        register_ket(np.full((2, 2), 0.5))
 
 
 class TestSymmetricBasis:

@@ -3,48 +3,54 @@
     python tools/ab_rounds.py PARENT_DIR CHANGE_DIR --workload ensemble --seed 7 --pairs 60
 
 Each checkout gets one long-lived worker process, and there are never more
-than these two.  A worker puts the checkout's ``src/`` first on its path, so
-it runs that checkout's qclone, and imports ``workloads.py`` and ``warm.py``
-from the ``perfbench/`` next to this tool, so both sides run the same
+than these two.  The round loop and the BLAS setting are perfbench's own:
+the tool imports ``run.py`` from the ``perfbench/`` next to it before
+anything imports numpy, so ``run.py``'s one-BLAS-thread default holds in
+both workers.  A worker then puts the checkout's ``src/`` first on its path,
+so it runs that checkout's qclone, and imports ``workloads.py`` and
+``warm.py`` from the same ``perfbench/``, so both sides run the same
 benchmark code.  It warms the workload as ``run.py`` does and runs one
 round it does not report, then waits.  For each pair the tool asks both
-workers for one round, alternating which side goes first; a round is timed
-as in ``run.py``, its outputs are checked outside the timed region, and a
-failed or wrong operation stops the comparison.
+workers for one round, alternating which side goes first.  A round is one
+pass of ``run.run_rounds``: the same timed region, the same capture of each
+operation's exception and the same checks of its outputs outside the timed
+region.  A failed or wrong operation stops the comparison.
 
 Prints each side's median round time with its quartiles, and its wins: the
 pairs in which its round was the faster one (ties count for neither).  A
 last line says whether the rounds show a gain for the change: it won at
 least nine tenths of the pairs, and its median lies below the parent's by
-more than the parent's quartile spread.  For
-memory, each side also prints the median of its rounds' minor page faults
-(``ru_minflt`` read just before and just after the timed region) and its
-worker's peak resident set (``ru_maxrss``, in MB of 1024 KiB as ``run.py``
-reports it) after its last round.  Both workers stay alive between pairs,
-so the comparison sees the host drift alike on both sides instead of
-between two runs minutes apart.
+more than the parent's quartile spread.  For memory, each side also prints
+the median of its rounds' minor page faults (``ru_minflt`` read just before
+and just after the round, so the count spans its checks as well as its
+timed region) and its worker's peak resident set (``ru_maxrss``, in MB of
+1024 KiB as ``run.py`` reports it) after its last round.  Both workers stay
+alive between pairs, so the comparison sees the host drift alike on both
+sides instead of between two runs minutes apart.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import resource
 import signal
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
+from types import SimpleNamespace
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+import run  # noqa: E402  before numpy: it sets the one-BLAS-thread default
+
 WORKLOADS = ("reproduce", "reports", "ensemble")
 
 
 def worker(checkout: str, workload: str, seed: int) -> int:
     """Serve rounds: one JSON line per line read from stdin, until EOF."""
     src = Path(checkout).resolve() / "src"
-    sys.path[:0] = [str(src), str(PERFBENCH)]
+    sys.path.insert(0, str(src))
     import qclone
 
     if Path(qclone.__file__).resolve().parent != src / "qclone":
@@ -64,39 +70,25 @@ def worker(checkout: str, workload: str, seed: int) -> int:
 
 
 def one_round(operations) -> dict:
-    """Run every operation once; the wall time of the round, the minor page
-    faults it took, the process's peak resident set in KiB after it, and
-    the first problems its checks found."""
+    """Run every operation once, as the one round ``run.run_rounds`` runs
+    on a budget of 0 s; the wall time of the round, the minor page faults
+    it and its checks took, the process's peak resident set in KiB after
+    it, and the first problems its checks found, then the operations that
+    raised."""
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    start = time.perf_counter()
-    outputs = []
-    for op in operations:
-        try:
-            outputs.append(op.run())
-        except Exception as exc:  # reported as a problem, not fatal to the worker
-            outputs.append(exc)
-    elapsed = time.perf_counter() - start
+    times, _, failures, problems = run.run_rounds(SimpleNamespace(operations=operations), 0.0)
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    problems = []
-    for op, out in zip(operations, outputs):
-        if isinstance(out, Exception):
-            problems.append(f"{op.label}: {out!r}")
-        else:
-            problems += [f"{op.label}: {p}" for p in op.check(out)]
-    return {"s": elapsed, "minflt": usage.ru_minflt - faults, "maxrss_kb": usage.ru_maxrss, "problems": problems[:5]}
+    return {"s": times[0], "minflt": usage.ru_minflt - faults, "maxrss_kb": usage.ru_maxrss,
+            "problems": (problems + failures)[:5]}
 
 
 class Worker:
     """A worker process for one checkout, spoken to one line at a time."""
 
     def __init__(self, checkout: Path, workload: str, seed: int):
-        env = dict(os.environ)
-        # one BLAS thread, as run.py sets: both sides share two CPUs
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env.setdefault(var, "1")
         self.proc = subprocess.Popen(
             [sys.executable, __file__, "--worker", str(checkout), workload, str(seed)],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
         self.reply()  # the warm-up round
 
