@@ -74,12 +74,6 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite (no NaN or inf)")
 
 
-def _check_hermitian(mat: np.ndarray) -> None:
-    if not np.abs(mat - mat.conj().swapaxes(-1, -2)).max() <= TOL_CONSTRUCT:
-        _check_finite(mat, "matrix entries")
-        raise ValueError("matrix is not Hermitian within 1e-12")
-
-
 def _worst(values: np.ndarray, ref: float) -> complex:
     """The entry farthest from ``ref``, as a Python number for messages."""
     values = np.asarray(values).reshape(-1)
@@ -169,26 +163,26 @@ class DensityOperator:
     """Unit-trace positive-semidefinite operator over an explicit layout.
 
     ``mat`` holds one (d, d) operator, or a batch of K as a (K, d, d) array.
-    Construction enforces, on every element, finite entries, Hermiticity and
-    trace within 1e-12 and eigenvalues >= -1e-10.
+    Construction validates ``mat`` as a :class:`HermitianMatrix` (finite,
+    square, Hermitian within 1e-12), then enforces, on every element, the
+    layout's dimension, trace within 1e-12 and eigenvalues >= -1e-10.
     """
 
     layout: SubsystemLayout
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=np.complex128, copy=True)
+        mat = HermitianMatrix(self.mat).mat
         d = self.layout.total
-        if mat.ndim not in (2, 3) or mat.shape[-2:] != (d, d) or mat.shape[0] == 0:
+        if mat.shape[-1] != d:
             raise ValueError(f"matrix shape {mat.shape} does not match layout dimension {d}")
-        _check_hermitian(mat)
         tr = np.trace(mat, axis1=-2, axis2=-1)
         if not abs(tr - 1.0).max() <= TOL_CONSTRUCT:
             raise ValueError(f"trace must be 1 within 1e-12, got {_worst(tr, 1.0)!r}")
         w = np.linalg.eigvalsh(mat)[..., 0]
         if not w.min() >= -TOL_SPECTRAL:
             raise ValueError(f"operator has a negative eigenvalue: {float(w.min())!r}")
-        object.__setattr__(self, "mat", _freeze(mat))
+        object.__setattr__(self, "mat", mat)
 
     @property
     def dim(self) -> int:
@@ -206,7 +200,9 @@ class HermitianMatrix:
         mat = np.array(self.mat, dtype=np.complex128, copy=True)
         if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2] or mat.shape[0] == 0:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        _check_hermitian(mat)
+        if not np.abs(mat - mat.conj().swapaxes(-1, -2)).max() <= TOL_CONSTRUCT:
+            _check_finite(mat, "matrix entries")
+            raise ValueError("matrix is not Hermitian within 1e-12")
         object.__setattr__(self, "mat", _freeze(mat))
 
 

@@ -10,10 +10,11 @@ significant digits except ``scaling_residual`` at 3.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass, field, fields
 
-from .analysis import _ppt_spectrum, extract_scaling_factor, ppt_separable
+from .analysis import _ppt_spectrum, extract_scaling_factor
 from .cloners import CloneOutput, gisin_massar_map, mdim_clone, register_clone, uqcm_map
 from .linalg import (
     DensityOperator,
@@ -125,18 +126,15 @@ def _clone_pair_checks(out: CloneOutput) -> tuple[list[float], dict[str, bool]]:
     """PT spectrum of the first clone pair for clones of dimension up to 8
     (beyond that the d^2 x d^2 eigensolve is not worth it), plus the
     separability verdict of every pair of qubit clones, where the PT test is
-    conclusive.  One eigensolve per pair: the first pair's verdict comes
-    from its spectrum."""
+    conclusive.  One eigensolve per pair: the first pair's gives both its
+    verdict and the spectrum."""
     d = out.joint.layout.dims[0]
     if d > 8:
         return [], {}
-    first, spectrum = _ppt_spectrum(out.pair_marginal(0, 1))
-    verdicts = {}
-    if d == 2:
-        for i in range(out.clone_count):
-            for j in range(i + 1, out.clone_count):
-                verdicts[f"a{i}-a{j}"] = first if (i, j) == (0, 1) else ppt_separable(out.pair_marginal(i, j))[0]
-    return spectrum.tolist(), verdicts
+    pairs = itertools.combinations(range(out.clone_count), 2) if d == 2 else [(0, 1)]
+    checks = {f"a{i}-a{j}": _ppt_spectrum(out.pair_marginal(i, j)) for i, j in pairs}
+    verdicts = {pair: sep for pair, (sep, _) in checks.items()} if d == 2 else {}
+    return checks["a0-a1"][1].tolist(), verdicts
 
 
 def _report(kind: str, n_or_m: int, info: dict, psi: StateVector, rho: DensityOperator, **rest) -> CloneReport:

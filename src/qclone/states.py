@@ -39,12 +39,8 @@ class BlochQubit:
             theta, phi = _freeze(theta.astype(np.float64)), _freeze(phi.astype(np.float64))
             object.__setattr__(self, "theta", theta)
             object.__setattr__(self, "phi", phi)
-        ok = (theta >= 0.0) & (theta <= math.pi)
-        if not ok.all():
-            raise ValueError(f"theta must lie in [0, pi], got {_first_failing(theta, ok)!r}")
-        ok = (phi >= 0.0) & (phi < 2.0 * math.pi)
-        if not ok.all():
-            raise ValueError(f"phi must lie in [0, 2*pi), got {_first_failing(phi, ok)!r}")
+        _require(theta, (theta >= 0.0) & (theta <= math.pi), "theta must lie in [0, pi]")
+        _require(phi, (phi >= 0.0) & (phi < 2.0 * math.pi), "phi must lie in [0, 2*pi)")
 
     @cached_property
     def _ket(self) -> StateVector:
@@ -57,8 +53,13 @@ class BlochQubit:
         return _trusted(StateVector, layout=_QUBIT, amps=amps)
 
 
-def _first_failing(x: np.ndarray, ok: np.ndarray) -> float:
-    return x.reshape(-1)[np.argmin(ok.reshape(-1))].item()
+def _require(x: np.ndarray, ok: np.ndarray, rule: str) -> None:
+    """ValueError("<rule>, got <first entry of x where ok is False!r>")
+    unless ``ok`` holds everywhere: the one range check of every angle and
+    register weight.  ``rule`` is a constant string, so the success path
+    builds no message."""
+    if not ok.all():
+        raise ValueError(f"{rule}, got {x.reshape(-1)[np.argmin(ok.reshape(-1))].item()!r}")
 
 
 _QUBIT = SubsystemLayout((2,))
@@ -81,9 +82,7 @@ def register_ket(alpha) -> StateVector:
         raise ValueError(f"alpha must be a number or a 1-D array, got shape {alpha.shape}")
     if alpha.size == 0:
         raise ValueError("a batch needs at least one state")
-    ok = (alpha >= 0.0) & (alpha <= 1.0)
-    if not ok.all():
-        raise ValueError(f"alpha must lie in [0, 1], got {_first_failing(alpha, ok)!r}")
+    _require(alpha, (alpha >= 0.0) & (alpha <= 1.0), "alpha must lie in [0, 1]")
     amps = np.zeros(alpha.shape + (4,))
     amps[..., 0] = alpha
     amps[..., 3] = np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha))

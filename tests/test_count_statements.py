@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "count_statements.py"
 spec = importlib.util.spec_from_file_location("count_statements", TOOL)
 count_statements = importlib.util.module_from_spec(spec)
@@ -58,6 +60,20 @@ def test_module_lines_sum_to_the_total(tmp_path, capsys):
     assert count_statements.main([str(tmp_path)]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert lines == [["a", "2"], ["b", "2"], ["total", "4"]]
+
+
+@pytest.mark.parametrize("name", ["nosuchdir", "README.md", "empty"])
+def test_a_path_without_modules_is_a_usage_error(tmp_path, capsys, name):
+    """A missing directory, a file, or a directory with no ``*.py`` is no
+    package: a typo must not read as ``total 0``."""
+    (tmp_path / "README.md").write_text("x = 1\n")
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "empty" / "notes.txt").write_text("x = 1\n")
+    path = str(tmp_path / name)
+    assert count_statements.main([path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert path in err
 
 
 def test_package_total_is_the_sum_of_its_modules(capsys):

@@ -72,3 +72,13 @@ def test_an_incomplete_table_is_a_usage_error(write, capsys, old_text, new_text,
     assert code == 2
     assert out == ""
     assert named in err and "not a complete reproduce table" in err
+
+
+def test_a_missing_file_is_a_usage_error(write, capsys, tmp_path):
+    """A file that cannot be read is no table either: the tool names it and
+    exits 2, not 1, which would read as rows that moved."""
+    missing = str(tmp_path / "missing.txt")
+    assert diff_reproduce.main([write("old.txt", TABLE), missing]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert missing in err

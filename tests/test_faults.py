@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import test_universality
 
 from qclone import analysis, checks, cloners, linalg, network
 from qclone.linalg import DensityOperator, StateVector, _trusted
@@ -380,6 +381,23 @@ def test_gm1_isometry_fault_passes_a_decade_below(monkeypatch):
     planted at: one decade lower, criterion 12 passes."""
     _uqcm_image_of_one_tilted(monkeypatch, eps=1e-10)
     assert _run(12).passed
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-12])
+def test_gm1_isometry_fault_fails_the_choi_test(monkeypatch, eps):
+    """The n = 1 Choi test of ``test_universality`` catches
+    ``_uqcm_image_of_one_tilted`` three decades below criterion 12: the
+    deviation is 1.11 eps, 1.11e-13 at eps = 1e-12 against its tolerance of
+    1e-13."""
+    _uqcm_image_of_one_tilted(monkeypatch, eps=eps)
+    with pytest.raises(AssertionError):
+        test_universality.test_direct_qubit_cloner_is_universal(1)
+
+
+def test_gm1_isometry_fault_passes_the_choi_test_a_decade_below(monkeypatch):
+    """At eps = 1e-13 the deviation, 1.12e-14, is within the tolerance."""
+    _uqcm_image_of_one_tilted(monkeypatch, eps=1e-13)
+    test_universality.test_direct_qubit_cloner_is_universal(1)
 
 
 @pytest.mark.parametrize(

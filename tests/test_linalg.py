@@ -87,6 +87,13 @@ class TestDensityOperator:
         with pytest.raises(ValueError, match="does not match layout dimension 2"):
             DensityOperator(SubsystemLayout((2,)), np.eye(3) / 3)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 2, 2), (2,)], ids=["non-square", "empty-batch", "vector"])
+    def test_rejects_what_is_no_square_matrix_as_hermitian_matrix_does(self, shape):
+        """The shape checks of ``HermitianMatrix`` come first, with its
+        message."""
+        with pytest.raises(ValueError, match=r"expected a square matrix, got shape \("):
+            DensityOperator(SubsystemLayout((2,)), np.zeros(shape))
+
     def test_rejects_non_hermitian(self):
         mat = np.array([[0.5, 0.5], [0.0, 0.5]])
         with pytest.raises(ValueError):

@@ -6,6 +6,9 @@ function) is not counted.  This is the size measure quoted in CHANGES.md
 and ROADMAP.md.
 
 Usage: python tools/count_statements.py [PACKAGE_DIR]   (default src/qclone)
+
+A PACKAGE_DIR that is not a directory, or holds no ``*.py`` file, prints
+nothing on stdout, names the path on stderr and exits 2.
 """
 import ast
 import signal
@@ -32,8 +35,12 @@ def count_statements(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "qclone"
+    paths = sorted(root.glob("*.py"))
+    if not paths:
+        print(f"count_statements: {root}: not a directory holding *.py files", file=sys.stderr)
+        return 2
     total = 0
-    for path in sorted(root.glob("*.py")):
+    for path in paths:
         n = count_statements(path.read_text())
         total += n
         print(f"{path.stem:<12} {n:>6}")

@@ -12,7 +12,7 @@ listed as well, as is a changed summary line.  Exits 1 if any of those
 appear, so an unchanged ``reproduce`` outcome reads exit 0.  A file with no
 row, or whose last line is not ``[NOT ]all N criteria passed (M checks)``,
 is no complete table (an empty file, a crash's traceback): the tool names
-it on stderr and exits 2.
+it on stderr and exits 2, as it does for a file it cannot read.
 """
 from __future__ import annotations
 
@@ -79,7 +79,7 @@ def main(argv: list[str]) -> int:
         return 2
     try:
         lines, changed = diff(*argv)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"diff_reproduce: {exc}", file=sys.stderr)
         return 2
     print("\n".join(lines) if lines else "no row moved")
