@@ -80,9 +80,12 @@ def fidelity_formula(n: int) -> float:
 
 #: Most inputs one ``mean_fidelity`` callback call receives: 4 rows of the
 #: default 64 x 64 grid.  Larger blocks run faster but raise peak memory, as
-#: each block builds its joint states anew (512 KB for 256 inputs of the
-#: 1 -> 4 cloner).  The blocks themselves are kept between calls (see
-#: ``_KEPT_GRID``), so only the callback's work is redone per call.
+#: each block's callback works on all of its inputs at once: a clone
+#: marginal from ``cloners`` holds only the block's (K, d, d) marginals and
+#: their pair products, but a callback that forms joint states holds a
+#: block of them (512 KB for 256 inputs of the 1 -> 4 cloner).  The blocks
+#: themselves are kept between calls (see ``_KEPT_GRID``), so only the
+#: callback's work is redone per call.
 _QUADRATURE_BLOCK = 256
 
 #: Most inputs of a quadrature grid whose blocks, with their kets, are kept

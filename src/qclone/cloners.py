@@ -9,15 +9,20 @@ Two families build every direct-map cloner: ``gisin_massar_map``, the
 ``mdim_clone``, the 1-to-2 machine in m dimensions, whose basis images
 also make up both register cloners.
 
-Images are rows: a dense cloner is the input amplitudes times a cached
-table whose row i is the joint image of basis state |i>, so a (K, d) batch
-of inputs gives the (K, D) batch of joint outputs in one product.  Only
-``mdim_clone`` scatters its images instead, since at m = 64 the table
-would hold 64 rows of 2**18 amplitudes.
+Every cloner is its basis images: a cached table whose row i is the joint
+image of basis state |i>, or for ``mdim_clone``, where at m = 64 such a
+table would hold 64 rows of 2**18 amplitudes, the scatter of their nonzero
+amplitudes.  A direct-map output keeps its inputs and the images it read.
+Its joint state is formed only when asked for; its marginals are quadratic
+forms in the input amplitudes, rho_K(psi) = sum_ij psi_i psi_j^* T_K[i, j],
+where T_K[i, j] = Tr_rest(|v_i><v_j|) is the transfer of the wire set K
+(the Choi matrix of that set's channel).  Each transfer is built once per
+image table and wire set, from the images' nonzeros, and cached.
 """
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,6 +32,8 @@ from .linalg import (
     DensityOperator,
     StateVector,
     SubsystemLayout,
+    _MARGINAL_BLOCK,
+    _check_subsystems,
     _freeze,
     _size,
     _trusted,
@@ -38,44 +45,216 @@ _CLONE_INDEX_RULE = "clone indices must be integers below clone_count"
 
 
 @dataclass(frozen=True, eq=False)
+class _Transfer:
+    """The marginal on one wire set as a function of the input: flattened
+    entry ``entries[g]`` of the (dk, dk) marginal is the sum, in order, of
+    ``coef[t] * psi_i psi_j^*`` over the terms t from ``starts[g]`` to the
+    next group's start, term t reading the pair ``pair[t]`` = i * d + j."""
+
+    layout: SubsystemLayout
+    pair: np.ndarray
+    coef: np.ndarray
+    starts: np.ndarray
+    entries: np.ndarray
+
+    def marginal(self, amps: np.ndarray) -> DensityOperator:
+        """The marginal of each input in ``amps``, (d,) or (K, d).  Every
+        input's entries sum the same terms in the same order down the term
+        axis, so a batch equals its scalar calls bit for bit."""
+        d = amps.shape[-1]
+        flat = amps.reshape(-1, d)
+        # psi_i psi_j^* of every input, one row per pair (i, j)
+        pairs = (flat[:, :, None] * flat[:, None, :].conj()).reshape(-1, d * d).T
+        dk = self.layout.total
+        red = np.zeros((flat.shape[0], dk * dk), dtype=np.complex128)
+        red[:, self.entries] = np.add.reduceat(pairs[self.pair] * self.coef[:, None], self.starts, axis=0).T
+        return _trusted(DensityOperator, layout=self.layout, mat=red.reshape(amps.shape[:-1] + (dk, dk)))
+
+
+def _gram(block: np.ndarray) -> np.ndarray:
+    """The Gram matrices block[k] block[k]^+ of a (n, g, c) stack, each
+    entry a pairwise sum over the c columns: the products of a support's
+    columns repeat, and a running sum of many equal terms drifts by many
+    ulp.  At most ``_MARGINAL_BLOCK`` products are formed at a time."""
+    n, g, c = block.shape
+    rows = block.reshape(n * g, c)
+    conj = block.conj()
+    out = np.empty((n * g, g), dtype=np.complex128)
+    step = max(1, _MARGINAL_BLOCK // (g * c))
+    for s in range(0, n * g, step):
+        out[s:s + step] = (rows[s:s + step, None, :] * conj[np.arange(s, min(s + step, n * g)) // g]).sum(axis=-1)
+    return out.reshape(n, g, g)
+
+
+def _build_transfer(layout: SubsystemLayout, nonzeros, d: int, wires: tuple[int, ...]) -> _Transfer | None:
+    """The transfer of ``wires`` from the images' nonzeros (joint amplitude
+    ``target[t]`` of the image of |source[t]> is ``weight[t]``), or None
+    where it would hold more entries than the joint state has amplitudes.
+
+    Read as a matrix M whose row (i, a) is image i at kept index a and whose
+    column is the index on the other wires, T_K is M M^+.  Columns with the
+    same nonzero rows (the same support) are multiplied as one dense block,
+    so the work goes to products of whole groups, not to single entries.
+    """
+    target, source, weight = nonzeros
+    dims = layout.dims
+    strides = [math.prod(dims[j + 1:]) for j in range(len(dims))]
+    dk = math.prod(dims[j] for j in wires)
+    # the kept index, and the joint index with the kept digits zeroed, which
+    # labels the column
+    kept, rest = np.zeros_like(target), target
+    for j in wires:
+        digit = target // strides[j] % dims[j]
+        kept = kept * dims[j] + digit
+        rest = rest - digit * strides[j]
+    rows = d * dk
+    row = source * dk + kept
+    # the nonzeros column by column, each column's rows ascending
+    order = np.argsort(rest * rows + row, kind="stable")
+    row, rest, weight = row[order], rest[order], weight[order]
+    first = np.flatnonzero(np.diff(rest, prepend=-1))
+    count = np.diff(first, append=rest.size)
+    # per column count g, the columns ordered by support (their g rows), and
+    # each support's rows and number of columns
+    groups = []
+    for g in np.flatnonzero(np.bincount(count)).tolist():
+        cells = first[count == g][:, None] + np.arange(g)  # (columns, g)
+        cells = cells[np.lexsort(row[cells].T[::-1])]
+        support = row[cells]
+        new = np.flatnonzero(np.diff(support, axis=0, prepend=-1).any(axis=1))
+        groups.append((support[new], cells, np.diff(new, append=len(cells))))
+    if sum(support.size * support.shape[1] for support, _, _ in groups) > layout.total:
+        return None
+    keys, values = [], []
+    for support, cells, width in groups:
+        offset = np.cumsum(width) - width
+        for c in np.flatnonzero(np.bincount(width)).tolist():  # one batch per column count
+            same = np.flatnonzero(width == c)
+            block = weight[cells[offset[same][:, None] + np.arange(c)]].transpose(0, 2, 1)
+            values.append(_gram(np.ascontiguousarray(block)).reshape(-1))
+            # each product's key: its entry (a, b) of the marginal, then its
+            # pair (i, j), so that the sorted keys come grouped by entry
+            image, level = np.divmod(support[same], dk)
+            entry = level[:, :, None] * dk + level[:, None, :]
+            keys.append((entry * d * d + image[:, :, None] * d + image[:, None, :]).reshape(-1))
+    # the distinct keys, and each product's place among them (only stable
+    # sorts here: each sort kernel numpy runs pages in its code, up to 0.7 MiB)
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    new = np.diff(keys[order], prepend=-1) != 0
+    key = keys[order][new]
+    term = np.empty_like(order)
+    term[order] = np.cumsum(new) - 1
+    values = np.concatenate(values)
+    coef = np.bincount(term, weights=values.real) + 1j * np.bincount(term, weights=values.imag)
+    entry, pair = np.divmod(key, d * d)
+    starts = np.flatnonzero(np.diff(entry, prepend=-1))
+    kept_layout = _trusted(SubsystemLayout, dims=tuple(dims[j] for j in wires))
+    return _Transfer(kept_layout, _freeze(pair), _freeze(coef), _freeze(starts), _freeze(entry[starts]))
+
+
+#: The transfers of each image table by wire set (None for a set reduced from
+#: the joint state), keyed on the ids of the arrays a cloner read: an entry
+#: goes when one of them is freed, so a table built afresh on every call (a
+#: patched one, say) never meets another table's transfers.
+_TRANSFERS: dict[tuple[int, ...], dict[tuple[int, ...], _Transfer | None]] = {}
+
+
+def _transfer(layout: SubsystemLayout, table, d: int, wires: tuple[int, ...]) -> _Transfer | None:
+    """The transfer of ``wires`` for the images ``table``: a (d, D) array
+    whose row i is the image of |i>, or a scatter (target, source, weight)."""
+    arrays = table if isinstance(table, tuple) else (table,)
+    key = tuple(map(id, arrays))
+    cache = _TRANSFERS.get(key)
+    if cache is None:
+        cache = _TRANSFERS[key] = {}
+        for array in arrays:
+            weakref.finalize(array, _TRANSFERS.pop, key, None)
+    if wires not in cache:
+        nonzeros = table
+        if not isinstance(table, tuple):
+            source, target = np.nonzero(table)
+            nonzeros = (target, source, table[source, target])
+        cache[wires] = _build_transfer(layout, nonzeros, d, wires)
+    return cache[wires]
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class CloneOutput:
     """Joint pure output of a cloner.
 
     The first ``clone_count`` subsystems of ``joint`` are the clones (equal
     dimensions); the remaining subsystems, of dimensions ``copier_dims``,
-    belong to the copying machine.
+    belong to the copying machine.  The output of a direct-map cloner keeps
+    its inputs and the cloner's basis images instead: it forms ``joint`` on
+    first access, and takes its marginals from the cached transfers of the
+    images, bit for bit the same for a batch as for each input alone.
     """
 
-    joint: StateVector
     clone_count: int
 
-    def __post_init__(self):
+    def __init__(self, joint: StateVector, clone_count: int):
         count = _size(
-            self.clone_count,
+            clone_count,
             "clone_count must be an integer leaving at least one clone and one copier subsystem",
             1,
-            len(self.joint.layout) - 1,
+            len(joint.layout) - 1,
         )
-        object.__setattr__(self, "clone_count", count)
+        self._fill(count, joint.layout, joint, None, None)
+
+    def _fill(self, clone_count, layout, joint, inputs, table) -> None:
+        for name, value in zip(("clone_count", "_layout", "_joint", "_inputs", "_table"),
+                               (clone_count, layout, joint, inputs, table)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _direct(cls, layout: SubsystemLayout, clone_count: int, inputs: np.ndarray, table) -> CloneOutput:
+        """The output of the images ``table`` on the validated ``inputs``:
+        a (d, D) array whose row i is the image of |i>, or a scatter
+        (target, source, weight)."""
+        out = object.__new__(cls)
+        out._fill(clone_count, layout, None, inputs, table)
+        return out
+
+    @property
+    def joint(self) -> StateVector:
+        """The joint state, one or a batch; a direct-map output forms it
+        here, on first access, and keeps it."""
+        if self._joint is None:
+            if isinstance(self._table, tuple):
+                target, source, weight = self._table
+                amps = np.zeros(self._inputs.shape[:-1] + (self._layout.total,), dtype=np.complex128)
+                amps[..., target] = weight * self._inputs[..., source]
+            else:
+                amps = self._inputs @ self._table
+            object.__setattr__(self, "_joint", _trusted(StateVector, layout=self._layout, amps=amps))
+        return self._joint
 
     @property
     def copier_dims(self) -> tuple[int, ...]:
         """Dimensions of the copier subsystems, in wire order."""
-        return self.joint.layout.dims[self.clone_count:]
+        return self._layout.dims[self.clone_count:]
+
+    def _marginal(self, wires: list[int]) -> DensityOperator:
+        if self._table is not None:
+            wires = tuple(_check_subsystems(self._layout, wires, "reduced_density"))
+            transfer = _transfer(self._layout, self._table, self._inputs.shape[-1], wires)
+            if transfer is not None:
+                return transfer.marginal(self._inputs)
+        return reduced_density(self.joint, wires)
 
     def clone_marginal(self, i: int) -> DensityOperator:
         """Reduced state of clone ``i``."""
-        return reduced_density(self.joint, [_size(i, _CLONE_INDEX_RULE, 0, self.clone_count - 1)])
+        return self._marginal([_size(i, _CLONE_INDEX_RULE, 0, self.clone_count - 1)])
 
     def pair_marginal(self, i: int, j: int) -> DensityOperator:
         """Joint reduced state of clones ``i`` and ``j`` (``i != j``)."""
         last = self.clone_count - 1
-        return reduced_density(self.joint, [_size(i, _CLONE_INDEX_RULE, 0, last), _size(j, _CLONE_INDEX_RULE, 0, last)])
+        return self._marginal([_size(i, _CLONE_INDEX_RULE, 0, last), _size(j, _CLONE_INDEX_RULE, 0, last)])
 
     def copier_marginal(self) -> DensityOperator:
         """Reduced state of the whole copying machine."""
-        k = len(self.joint.layout)
-        return reduced_density(self.joint, list(range(self.clone_count, k)))
+        return self._marginal(list(range(self.clone_count, len(self._layout))))
 
 
 # cached: a fresh layout on every call raised perfbench's ensemble peak RSS
@@ -109,8 +288,7 @@ def gisin_massar_map(q: BlochQubit, n: int) -> CloneOutput:
     (a_0..a_n, b_1..b_n): n+1 clones followed by the n-qubit copier.  A
     batched ``q`` gives the batch of joint outputs."""
     n = _size(n, _CLONE_COUNT_RULE, 1, MAX_CLONE_COUNT)
-    joint = _trusted(StateVector, layout=_gm_layout(n), amps=bloch_ket(q).amps @ _gm_columns(n))
-    return CloneOutput(joint=joint, clone_count=n + 1)
+    return CloneOutput._direct(_gm_layout(n), n + 1, bloch_ket(q).amps, _gm_columns(n))
 
 
 def uqcm_map(q: BlochQubit) -> CloneOutput:
@@ -168,12 +346,8 @@ def mdim_clone(phi: StateVector) -> CloneOutput:
     """
     if len(phi.layout) != 1:
         raise ValueError("input must be a single m-dimensional system")
-    m = phi.dim
-    layout, target, source, weight = _mdim_scatter(m)
-    amps = phi.amps
-    out = np.zeros(amps.shape[:-1] + (m**3,), dtype=np.complex128)
-    out[..., target] = weight * amps[..., source]
-    return CloneOutput(joint=_trusted(StateVector, layout=layout, amps=out), clone_count=2)
+    layout, target, source, weight = _mdim_scatter(phi.dim)
+    return CloneOutput._direct(layout, 2, phi.amps, (target, source, weight))
 
 
 @lru_cache(maxsize=None)
@@ -199,9 +373,10 @@ _REGISTER_JOINT = SubsystemLayout((2,) * 6)
 
 def _register_copy(alpha, images: np.ndarray, wires: list[int]) -> DensityOperator:
     """The copy on ``wires`` of the register alpha|00> + beta|11> cloned by
-    ``images``, the (4, 64) rows of its basis images."""
-    joint = _trusted(StateVector, layout=_REGISTER_JOINT, amps=register_ket(alpha).amps @ images)
-    return reduced_density(joint, wires)
+    ``images``, the (4, 64) rows of its basis images, from their transfer."""
+    amps = register_ket(alpha).amps
+    wires = tuple(_check_subsystems(_REGISTER_JOINT, wires, "reduced_density"))
+    return _transfer(_REGISTER_JOINT, images, 4, wires).marginal(amps)
 
 
 def local_register_clone(alpha) -> DensityOperator:

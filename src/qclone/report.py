@@ -156,7 +156,13 @@ def _report(kind: str, n_or_m: int, info: dict, psi: StateVector, rho: DensityOp
 
 def _cloner_report(kind: str, size: int, info: dict, psi: StateVector, out: CloneOutput) -> CloneReport:
     """Report on one cloning run of psi: the common fields of ``_report`` on
-    the first clone, clone-pair checks, copier purity and entropies."""
+    the first clone, clone-pair checks, copier purity and entropies.
+
+    A report is of one input and takes each of its marginals once, so it
+    reduces them from the joint state: a transfer costs more to build than
+    it saves on a single call (the 38 wire sets of a ``clone gm 8`` report
+    took 0.35 s to build, against 0.1 s for the whole report)."""
+    out = CloneOutput(out.joint, out.clone_count)
     marg = out.clone_marginal(0)
     copier = out.copier_marginal()
     spectrum, verdicts = _clone_pair_checks(out)

@@ -40,6 +40,36 @@ def test_a_clean_round_reports_no_problem():
     assert ab_rounds.one_round([Stub("right", lambda: 3, 3)])["problems"] == []
 
 
+class Drifting:
+    """An operation whose output, accepted by its check, changes from its
+    second call on: what a cache that changes a result after its first
+    use would look like."""
+
+    label = "drifts"
+
+    def __init__(self):
+        self.calls = 0
+
+    def run(self):
+        self.calls += 1
+        return "first" if self.calls == 1 else "later"
+
+    def check(self, out):
+        return []
+
+
+def test_a_round_whose_output_drifts_from_the_first_is_caught():
+    """Each round is a separate ``run_rounds`` call, so the worker keeps
+    the first round's outputs itself: the second round's drifted output is
+    reported, and a steady operation beside it is not."""
+    ops = [Stub("steady", lambda: "same", "same"), Drifting()]
+    first_outputs = []
+    assert ab_rounds.one_round(ops, first_outputs)["problems"] == []
+    assert first_outputs == ["same", "first"]
+    assert ab_rounds.one_round(ops, first_outputs)["problems"] == ["drifts: output differs from the first round's"]
+    assert first_outputs == ["same", "first"]
+
+
 # paired round times in seconds: the parent's quartiles are 10 and 12 ms
 PARENT = [0.010, 0.011, 0.012, 0.010, 0.011, 0.012, 0.010, 0.011, 0.012, 0.011]
 

@@ -1,5 +1,8 @@
 """Golden CLI outputs: every case must print the recorded text, with the
-non-numeric text equal and every number within 1e-12.
+non-numeric text equal, every padded column where it was, and every number
+within 1e-12.  A number may print wider or narrower on another BLAS kernel
+(``5.6e-17`` against ``5.55e-17``); where it sits in a fixed-width column the
+padding after it absorbs that, so the next column starts where it did.
 
 Re-record ``data/cli_golden.json`` (only when an output change is
 intended) with ``PYTHONPATH=src python tests/test_cli_golden.py [CASE ...]``,
@@ -56,15 +59,38 @@ NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 def text_of(out: str) -> list[str]:
     """The text around the numbers.  A number that moves within the
-    tolerance may print wider or narrower in a fixed-width column and so
-    change the padding after it: the spaces right after a number are left
-    out here, and the test compares line lengths instead."""
+    tolerance may print wider or narrower, in a fixed-width column or in
+    free text: the spaces right after a number are left out here, and the
+    test checks the padding of the columns instead."""
     head, *rest = NUMBER.split(out)
     return [head] + [piece.lstrip(" ") for piece in rest]
 
 
-def line_lengths(out: str) -> list[int]:
-    return [len(line) for line in out.splitlines()]
+def resumes(out: str) -> list[list[tuple[int, int, bool]]]:
+    """Per line, for each number followed by spaces and more text: the
+    number's index on its line, the column where the text resumes, and
+    whether the spaces are padding (two or more; one is a separator)."""
+    lines = []
+    for line in out.splitlines():
+        found = []
+        for k, m in enumerate(NUMBER.finditer(line)):
+            col = len(line) - len(line[m.end():].lstrip(" "))
+            if m.end() < col < len(line):
+                found.append((k, col, col - m.end() >= 2))
+        lines.append(found)
+    return lines
+
+
+def padding_mismatches(got: str, want: str) -> list[str]:
+    """Where a column padded in ``want`` does not resume at the same column
+    in ``got``.  A number of another width in a fixed-width column changes
+    only its padding, so the next column stays put; free text after a
+    number, such as a JSON comma or a list separator, may move."""
+    bad = []
+    for n, (got_line, want_line) in enumerate(zip(resumes(got), resumes(want))):
+        got_cols = {k: col for k, col, _ in got_line}
+        bad += [f"line {n + 1}, after number {k}" for k, col, padded in want_line if padded and got_cols.get(k) != col]
+    return bad
 
 
 def run_case(case: str) -> str:
@@ -88,7 +114,7 @@ def test_golden_covers_every_case(golden):
 def test_cli_matches_golden(golden, case):
     got, want = run_case(case), golden[case]
     assert text_of(got) == text_of(want), "non-numeric text differs"
-    assert line_lengths(got) == line_lengths(want), "line lengths differ"
+    assert padding_mismatches(got, want) == [], "a padded column moved"
     got_nums = [float(x) for x in NUMBER.findall(got)]
     want_nums = [float(x) for x in NUMBER.findall(want)]
     assert len(got_nums) == len(want_nums)

@@ -210,13 +210,19 @@ class TestRegisterCloners:
 
     @pytest.mark.parametrize("method", ["local", "nonlocal"])
     def test_one_marginal_per_call(self, monkeypatch, method):
-        """A register cloner reduces its joint state once: the copy it
-        returns.  That both copies agree is a property test's job."""
-        calls = []
-        real = cloners.reduced_density
-        monkeypatch.setattr(cloners, "reduced_density", lambda psi, keep: calls.append(keep) or real(psi, keep))
+        """A register cloner takes one marginal, the copy it returns, from
+        the transfer of its images on that copy's wires, built once per
+        (table, wires) and never from a joint state.  That both copies agree
+        is a property test's job."""
+        builds, reductions = [], []
+        real_build, real_reduce = cloners._build_transfer, cloners.reduced_density
+        monkeypatch.setattr(cloners, "_TRANSFERS", {})
+        monkeypatch.setattr(cloners, "_build_transfer", lambda *a: builds.append(a[-1]) or real_build(*a))
+        monkeypatch.setattr(cloners, "reduced_density", lambda psi, keep: reductions.append(keep) or real_reduce(psi, keep))
         register_clone(method, np.sqrt([0.2, 0.7]))
-        assert len(calls) == 1
+        register_clone(method, 0.5)
+        assert builds == [{"local": (0, 4), "nonlocal": (0, 1)}[method]]
+        assert reductions == []
 
     @pytest.mark.parametrize("method,wires", [("local", [0, 4]), ("nonlocal", [0, 1])])
     def test_layouts_are_not_validated_again(self, monkeypatch, method, wires):

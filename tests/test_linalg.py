@@ -252,7 +252,7 @@ def test_wide_pair_marginal_is_one_product():
     for bit, where 16-column blocks summed two full squares."""
     out = mdim_clone(haar_random_ket(32, 3))
     a = out.joint.amps.reshape(32 * 32, 32)
-    assert out.pair_marginal(0, 1).mat.tobytes() == (a @ a.conj().T).tobytes()
+    assert reduced_density(out.joint, [0, 1]).mat.tobytes() == (a @ a.conj().T).tobytes()
 
 
 def test_reduced_density_keep_order_is_significant():

@@ -14,7 +14,10 @@ round it does not report, then waits.  For each pair the tool asks both
 workers for one round, alternating which side goes first.  A round is one
 pass of ``run.run_rounds``: the same timed region, the same capture of each
 operation's exception and the same checks of its outputs outside the timed
-region.  A failed or wrong operation stops the comparison.
+region.  Each worker also keeps its first round's outputs and, as
+``run.py`` does within one run, reports any later string output that
+differs from them.  A failed or wrong operation, or one whose output
+drifts, stops the comparison.
 
 Prints each side's median round time with its quartiles, and its wins: the
 pairs in which its round was the faster one (ties count for neither).  A
@@ -61,23 +64,46 @@ def worker(checkout: str, workload: str, seed: int) -> int:
 
     warm(workload)
     operations = BUILDERS[workload](seed).operations
-    # the first round fills what warm() leaves cold and is not reported
-    first = one_round(operations)
+    # the first round fills what warm() leaves cold and is not reported;
+    # every later round's outputs are compared with its outputs
+    first_outputs = []
+    first = one_round(operations, first_outputs)
     print(json.dumps(first if first["problems"] else {"ready": True}), flush=True)
     for _ in iter(sys.stdin.readline, ""):
-        print(json.dumps(one_round(operations)), flush=True)
+        print(json.dumps(one_round(operations, first_outputs)), flush=True)
     return 0
 
 
-def one_round(operations) -> dict:
+def one_round(operations, first_outputs: list | None = None) -> dict:
     """Run every operation once, as the one round ``run.run_rounds`` runs
     on a budget of 0 s; the wall time of the round, the minor page faults
     it and its checks took, the process's peak resident set in KiB after
     it, and the first problems its checks found, then the operations that
-    raised."""
+    raised.  Given ``first_outputs``, an empty list is filled with this
+    round's outputs, and a filled one is compared with them: a string
+    output that differs is a problem, ``output differs from the first
+    round's``, as in ``run.py``."""
+    outputs = [None] * len(operations)
+
+    def keeping(i, op):
+        def run_op():
+            outputs[i] = op.run()
+            return outputs[i]
+
+        return SimpleNamespace(label=op.label, run=run_op, check=op.check)
+
+    kept = [keeping(i, op) for i, op in enumerate(operations)]
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    times, _, failures, problems = run.run_rounds(SimpleNamespace(operations=operations), 0.0)
+    times, _, failures, problems = run.run_rounds(SimpleNamespace(operations=kept), 0.0)
     usage = resource.getrusage(resource.RUSAGE_SELF)
+    if first_outputs is not None and not first_outputs:
+        first_outputs.extend(outputs)
+    elif first_outputs is not None:
+        problems += [
+            f"{op.label}: output differs from the first round's"
+            for op, out, was in zip(operations, outputs, first_outputs)
+            if isinstance(out, str) and out != was
+        ]
     return {"s": times[0], "minflt": usage.ru_minflt - faults, "maxrss_kb": usage.ru_maxrss,
             "problems": (problems + failures)[:5]}
 
